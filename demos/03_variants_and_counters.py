@@ -31,5 +31,6 @@ for n, ratio in ratios:
     print(f"   n={n:<5d} {ratio:7.1f}x")
 print("\nThe ratio grows with n: the baseline's cost per iteration tracks the")
 print("whole matrix, the delta loop's tracks only the two new pairs per round.")
-print("The lazy-union variant additionally drives union_entries toward zero:")
-print("small deltas land in small forest pieces instead of rebuilding the matrix.")
+print("The lazy-union variant also cuts union_entries several-fold for a few")
+print("more spgemm calls: small deltas merge only with small forest pieces")
+print("instead of rebuilding the matrix.")

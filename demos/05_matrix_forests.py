@@ -1,7 +1,8 @@
 """Lazy union with matrix forests: instead of folding every small delta
 into one big matrix (rebuilding it each time), the matrix lives as a set
-of pieces whose sizes stay a factor b apart.  Small deltas then only ever
-merge with other small pieces.
+of pieces in size classes a factor b apart.  Pieces within a factor b of
+each other, equal sizes included, merge, so small deltas only ever merge
+with other small pieces and the forest keeps O(log_b nnz) pieces.
 
 Run from the repository root:  python3 demos/05_matrix_forests.py
 """
@@ -9,7 +10,7 @@ Run from the repository root:  python3 demos/05_matrix_forests.py
 import random
 
 from cflr import MatrixForest, OpCounter, forest_difference, forest_insert
-from cflr.sparse import BoolMat, union
+from cflr.sparse import BoolMat, difference, union
 
 rng = random.Random(0)
 
@@ -43,12 +44,22 @@ for step in range(1, 13):
     )
 
 print("\nThe eager accumulator re-reads its thousands of entries on every")
-print("insert; the forest only merges pieces of comparable size, so its")
-print("cumulative union work stays far smaller.")
+print("insert; the forest merges a delta only with pieces in its own size")
+print("class, so its cumulative union work stays far smaller.")
 
 # the forest still answers exactly like the folded matrix
-from cflr.sparse import difference
-
 probe = random_delta(n, 500)
 assert forest_difference(probe, forest) == difference(probe, eager)
 print("\nforest difference == difference against the folded matrix")
+
+# one-entry deltas, as a deep chain produces them: equal sizes merge, so
+# the piece count follows log_b of the entries held
+print("\na stream of 1,000 one-entry deltas (b=10):\n")
+print(f"{'inserts':>8} {'pieces':>7} {'bound 1+log_b(nnz)':>19}  forest sizes")
+cells = rng.sample(range(n * n), 1000)
+stream = MatrixForest(b=10)
+for step, cell in enumerate(cells, 1):
+    forest_insert(stream, BoolMat.from_entries(n, n, [divmod(cell, n)]))
+    assert len(stream) <= stream.piece_bound()
+    if step in (1, 9, 10, 99, 100, 999, 1000):
+        print(f"{step:>8} {len(stream):>7} {stream.piece_bound():>19}  {stream.sizes()}")

@@ -50,6 +50,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# smallest accepted value of each numeric flag; a flag a command lacks is
+# skipped
+_MINIMUMS = {"b": 2, "threads": 1, "reps": 1, "timeout_secs": 0, "oracle_limit": 0}
+
+
+def _bad_number(args) -> str | None:
+    for attr, low in _MINIMUMS.items():
+        value = getattr(args, attr, None)
+        if value is not None and not value >= low:  # NaN fails too
+            return f"--{attr.replace('_', '-')} must be at least {low}, got {value}"
+    return None
+
+
 def _peak_memory_bytes() -> int:
     """Best-effort OS high-water mark of this process."""
     if resource is None:
@@ -361,6 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _bad_number(args)
+    if problem is not None:
+        print(f"cflr: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except CliInputError as exc:

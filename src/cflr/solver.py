@@ -21,6 +21,7 @@ from .semiring import (
     VBLOCK,
     BinStep,
     NontermMatrix,
+    _apply_transform,
     build_rule_plan,
     initial_matrix,
     stored_symbols,
@@ -75,10 +76,13 @@ class VariantFlags:
 
 
 class MatrixForest:
-    """One logical matrix kept as a set of same-shaped pieces whose sizes
-    stay separated by the growth factor b: for any two pieces, the smaller
-    is more than b times smaller.  Inserting a sparse delta then usually
-    touches only small pieces instead of rebuilding the whole matrix.
+    """One logical matrix kept as a set of same-shaped pieces in size
+    classes, as in a log-structured merge tree: pieces whose sizes lie
+    within the growth factor b of each other, equal sizes included, are
+    merged, so any two pieces differ in size by more than a factor b and a
+    forest holding nnz entries has O(log_b nnz) pieces.  Inserting a sparse
+    delta then touches only small pieces instead of rebuilding the whole
+    matrix.  Empty payloads add no piece.
     """
 
     def __init__(self, b: int = 10, combine=None):
@@ -86,50 +90,58 @@ class MatrixForest:
             raise ValueError("growth factor b must be an integer > 1")
         self.b = b
         self.combine = combine if combine is not None else sparse.union
-        self._seq = 0
-        self.elements: list[tuple[int, object]] = []
+        # ascending by nnz; the sizes are distinct while the invariant holds
+        self.elements: list = []
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def sizes(self) -> list[int]:
-        return sorted(el.nnz for _, el in self.elements)
+        return [el.nnz for el in self.elements]
 
     def invariant_holds(self) -> bool:
+        """Every piece is non-empty and more than b times smaller than the
+        next larger one."""
         ns = self.sizes()
-        return all(a == b or self.b * a < b for a, b in zip(ns, ns[1:]))
+        return all(ns) and all(self.b * a < c for a, c in zip(ns, ns[1:]))
+
+    def piece_bound(self) -> int:
+        """The most pieces strict separation allows for the entries held:
+        1 + floor(log_b(total nnz)), or 0 when the forest is empty."""
+        total = sum(self.sizes())
+        bound = 0
+        while total >= self.b**bound:
+            bound += 1
+        return bound
 
     def payloads(self, largest_first: bool = False):
-        key = (lambda e: (-e[1].nnz, e[0])) if largest_first else (lambda e: (e[1].nnz, e[0]))
-        return [el for _, el in sorted(self.elements, key=key)]
+        return self.elements[::-1] if largest_first else list(self.elements)
 
     def insert(self, payload, counter: OpCounter | None = None) -> None:
-        """Add a piece, then merge the two smallest invariant-violating
-        pieces until the size separation holds again."""
-        self.elements.append((self._seq, payload))
-        self._seq += 1
+        """Add a piece (an empty one adds nothing), then merge the smallest
+        adjacent pair of pieces within a factor b of each other until none
+        is left."""
+        if not payload.nnz:
+            return
+        els = sorted(self.elements + [payload], key=lambda el: el.nnz)
         while True:
-            order = sorted(self.elements, key=lambda e: (e[1].nnz, e[0]))
-            hit = None
-            for ea, eb in zip(order, order[1:]):
-                if ea[1].nnz < eb[1].nnz and self.b * ea[1].nnz >= eb[1].nnz:
-                    hit = (ea, eb)
-                    break
+            hit = next(
+                (i for i in range(len(els) - 1) if self.b * els[i].nnz >= els[i + 1].nnz),
+                None,
+            )
             if hit is None:
-                return
-            self.elements = [e for e in self.elements if e is not hit[0] and e is not hit[1]]
-            merged = self.combine(hit[0][1], hit[1][1], counter)
-            self.elements.append((self._seq, merged))
-            self._seq += 1
+                break
+            els[hit : hit + 2] = [self.combine(els[hit], els[hit + 1], counter)]
+            els.sort(key=lambda el: el.nnz)
+        self.elements = els
 
 
 def forest_insert(
     forest: MatrixForest, d: BoolMat, counter: OpCounter | None = None
 ) -> MatrixForest:
     """Insert a delta matrix into a forest of plain Boolean matrices."""
-    for el in forest.payloads():
-        if el.shape() != d.shape():
-            raise ValueError(f"shape mismatch: {el.shape()} vs {d.shape()}")
+    if forest.elements and forest.elements[0].shape() != d.shape():
+        raise ValueError(f"shape mismatch: {forest.elements[0].shape()} vs {d.shape()}")
     forest.insert(d, counter)
     return forest
 
@@ -139,10 +151,12 @@ def forest_difference(
 ) -> BoolMat:
     """d minus the forest's logical union, subtracting piece by piece,
     largest piece first."""
-    for el in forest.payloads(largest_first=True):
-        if el.shape() != d.shape():
-            raise ValueError(f"shape mismatch: {el.shape()} vs {d.shape()}")
-        d = sparse.difference(d, el, counter)
+    return _subtract_pieces(d, forest.payloads(largest_first=True), counter)
+
+
+def _subtract_pieces(d: BoolMat, pieces, counter: OpCounter | None = None) -> BoolMat:
+    for piece in pieces:
+        d = sparse.difference(d, piece, counter)
     return d
 
 
@@ -223,10 +237,6 @@ class _Bundle:
         )
 
 
-def _bundle_union(a: _Bundle, b: _Bundle, counter: OpCounter | None) -> _Bundle:
-    return a.union(b, counter)
-
-
 class _DeltaView:
     """A freshly discovered delta with lazily derived copies."""
 
@@ -264,7 +274,7 @@ class _Store:
         self.n = n
         self.k = k
         if lazy:
-            self.forest: MatrixForest | None = MatrixForest(b, combine=_bundle_union)
+            self.forest: MatrixForest | None = MatrixForest(b, combine=_Bundle.union)
             self.bundle = None
         else:
             self.forest = None
@@ -286,11 +296,7 @@ class _Store:
 
     def subtract(self, cmat: BoolMat) -> BoolMat:
         """cmat (in this store's canonical key) minus the stored matrix."""
-        if self.forest is None:
-            return sparse.difference(cmat, self.bundle.copies[self.canonical])
-        for el in self.forest.payloads(largest_first=True):
-            cmat = sparse.difference(cmat, el.copies[self.canonical])
-        return cmat
+        return _subtract_pieces(cmat, self.pieces(self.canonical))
 
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
@@ -422,9 +428,9 @@ def solve(
             local = OpCounter()
             out: BoolMat | None = None
             for lm in left_mats:
-                la = _transform(lm, step.left_transform, n, k)
+                la = _apply_transform(lm, step.left_transform, n, k)
                 for rm in right_mats:
-                    ra = _transform(rm, step.right_transform, n, k)
+                    ra = _apply_transform(rm, step.right_transform, n, k)
                     prod = sparse.spgemm(la, ra, orientation, local)
                     out = prod if out is None else sparse.union(out, prod, local)
             if out is not None and out.nnz:
@@ -595,13 +601,3 @@ def solve(
         flags=flags,
         grammar=g_run,
     )
-
-
-def _transform(m: BoolMat, transform: str | None, n: int, k: int) -> BoolMat:
-    if transform is None:
-        return m
-    if transform == "diag":
-        return sparse.block_diagonalize(m, n, k)
-    if transform == "collapse":
-        return sparse.block_collapse(m, n, k)
-    raise ValueError(f"unknown transform {transform!r}")

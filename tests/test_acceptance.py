@@ -153,27 +153,62 @@ def test_criterion_3_delta_identity():
     )
 
 
+def _log_piece_bound(nnz: int, b: int) -> int:
+    """1 + floor(log_b(nnz)) in exact integer arithmetic (0 for nnz = 0)."""
+    bound = 0
+    while nnz >= b**bound:
+        bound += 1
+    return bound
+
+
+def _check_forest_sequence(forest: MatrixForest, deltas) -> int:
+    """Insert each delta, checking after every insert that the pieces are
+    strictly size-separated, that there are at most 1 + log_b(nnz) of them,
+    and that their union equals a plain accumulator.  Returns the number of
+    inserts."""
+    acc = None
+    for d in deltas:
+        forest_insert(forest, d)
+        acc = d if acc is None else union(acc, d)
+        assert forest.invariant_holds(), forest.sizes()
+        assert len(forest) <= _log_piece_bound(acc.nnz, forest.b), forest.sizes()
+        got = BoolMat.empty(d.rows, d.cols)
+        for el in forest.payloads():
+            got = union(got, el)
+        assert got == acc
+    return len(deltas)
+
+
 @pytest.mark.parametrize("b", [2, 10])
 def test_criterion_4_forest_invariant(b):
-    """After every insert the size-separation invariant holds and the
-    forest's union equals a plain accumulator."""
+    """After every insert the pieces are strictly size-separated, number at
+    most 1 + log_b(nnz), and their union equals a plain accumulator; this
+    holds for random deltas and for long runs of equal-sized deltas."""
     rng = random.Random(f"forest-{b}")
     sequences = 500
     inserts = 0
     for _ in range(sequences):
         n = rng.randrange(4, 16)
-        forest = MatrixForest(b=b)
-        acc = BoolMat.empty(n, n)
-        for _ in range(rng.randrange(1, 14)):
-            d = random_boolmat(rng, n, n, rng.random() * 0.5)
-            forest_insert(forest, d)
-            acc = union(acc, d)
-            inserts += 1
-            assert forest.invariant_holds(), forest.sizes()
-            got = BoolMat.empty(n, n)
-            for el in forest.payloads():
-                got = union(got, el)
-            assert got == acc
+        deltas = [
+            random_boolmat(rng, n, n, rng.random() * 0.5)
+            for _ in range(rng.randrange(1, 14))
+        ]
+        inserts += _check_forest_sequence(MatrixForest(b=b), deltas)
+    # equal-sized deltas: 200 distinct one-entry inserts, then runs of
+    # same-sized disjoint blocks, each of which must merge by size class
+    n = 20
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    rng.shuffle(cells)
+    singles = [BoolMat.from_entries(n, n, [c]) for c in cells[:200]]
+    inserts += _check_forest_sequence(MatrixForest(b=b), singles)
+    sequences += 1
+    for width in (3, 7):
+        blocks = [
+            BoolMat.from_entries(n, n, cells[i : i + width])
+            for i in range(0, len(cells) - width + 1, width)
+        ]
+        inserts += _check_forest_sequence(MatrixForest(b=b), blocks)
+        sequences += 1
     print(
         f"\n[acceptance] criterion 4 forest-invariant (b={b}): PASS "
         f"({sequences} sequences, {inserts} inserts, 0 violations)"

@@ -198,6 +198,23 @@ class TestSolveCommand:
         assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--graph", "chain(4)", "--b", "1"],
+        ["solve", "--graph", "chain(4)", "--threads", "-3"],
+        ["bench", "--graph", "chain(4)", "--reps", "0"],
+        ["solve", "--graph", "chain(4)", "--timeout-secs", "-1"],
+        ["check", "--graph", "chain(4)", "--oracle-limit", "-1"],
+    ],
+)
+def test_bad_numeric_flag_is_one_line_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cflr: ") and captured.err.count("\n") == 1
+
+
 class TestCheckCommand:
     def test_all_variants_agree(self, dyck_path_graph, dyck_grammar_file):
         rc = main(

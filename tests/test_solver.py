@@ -80,6 +80,25 @@ class TestForest:
                 got = union(got, el)
             assert got == acc
 
+    def test_empty_payloads_add_no_piece(self):
+        f = MatrixForest(b=10)
+        for _ in range(3):
+            forest_insert(f, BoolMat.empty(6, 6))
+        assert len(f) == 0 and f.piece_bound() == 0
+        forest_insert(f, BoolMat.from_entries(6, 6, [(0, 1)]))
+        forest_insert(f, BoolMat.empty(6, 6))
+        assert f.sizes() == [1]
+        with pytest.raises(ValueError):
+            forest_insert(f, BoolMat.empty(5, 5))
+
+    @pytest.mark.parametrize("b, bound", [(2, 8), (10, 3)])
+    def test_piece_bound_after_equal_sized_inserts(self, b, bound):
+        f = MatrixForest(b=b)
+        for j in range(200):
+            forest_insert(f, BoolMat.from_entries(20, 20, [(j // 20, j % 20)]))
+        assert sum(f.sizes()) == 200
+        assert len(f) <= f.piece_bound() == bound  # 1 + floor(log_b(200))
+
     def test_difference_trivial_cases(self):
         d = random_boolmat(random.Random(3), 10, 10, 0.3)
         assert forest_difference(d, MatrixForest(b=10)) == d
@@ -229,6 +248,19 @@ class TestSolve:
             assert runs[0].counters == runs[1].counters == runs[2].counters
             assert runs[0].triples() == runs[1].triples() == runs[2].triples()
             assert runs[0].iterations == runs[2].iterations
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_lazy_union_keeps_spgemm_calls_per_iteration_flat(self, n):
+        """On a dyck chain every delta holds one entry; the forest must still
+        keep a logarithmic piece count, so ma1234 multiplies about as often
+        per iteration as ma1 (6 calls) instead of once per stored delta."""
+        g = ensure_wcnf(preset("dyck"))
+        graph = chain_graph(n)
+        per_iter = {}
+        for v in ("ma1", "ma1234"):
+            r = solve(graph, g, VariantFlags.named(v))
+            per_iter[v] = r.counters.spgemm_calls / r.iterations
+        assert per_iter["ma1234"] <= 2 * per_iter["ma1"], per_iter
 
     def test_deadline_raises(self):
         g = ensure_wcnf(preset("dyck"))
