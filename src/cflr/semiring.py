@@ -35,6 +35,16 @@ VBLOCK = "v"
 MatKey = tuple[Symbol, str]
 
 
+def matrix_dims(repr_: str, n: int, k: int) -> tuple[int, int]:
+    """Shape of a symbol's matrix over n vertices and k index slots: n x n
+    plain, n x k*n horizontal blocks, k*n x n vertical blocks."""
+    if repr_ == PLAIN:
+        return (n, n)
+    if repr_ == HBLOCK:
+        return (n, k * n)
+    return (k * n, n)
+
+
 def scalar_mul(
     a: Iterable[Symbol], b: Iterable[Symbol], g: WcnfGrammar
 ) -> frozenset[Symbol]:
@@ -157,12 +167,7 @@ class NontermMatrix:
         return len(self.universe)
 
     def dims(self, repr_: str) -> tuple[int, int]:
-        n, k = self.size, self.k
-        if repr_ == PLAIN:
-            return (n, n)
-        if repr_ == HBLOCK:
-            return (n, k * n)
-        return (k * n, n)
+        return matrix_dims(repr_, self.size, self.k)
 
     def fetch(self, key: MatKey) -> BoolMat:
         """Matrix for ``key``, deriving the vertical block form from the
@@ -297,10 +302,8 @@ def initial_matrix(
                 put(lhs, PLAIN, u, u)
 
     mats: dict[MatKey, BoolMat] = {}
-    kn = k * n
     for (sym, repr_), ents in entries.items():
-        rows, cols = (n, n) if repr_ == PLAIN else ((n, kn) if repr_ == HBLOCK else (kn, n))
-        mats[(sym, repr_)] = BoolMat.from_entries(rows, cols, ents)
+        mats[(sym, repr_)] = BoolMat.from_entries(*matrix_dims(repr_, n, k), ents)
     return NontermMatrix(n, universe, mats)
 
 

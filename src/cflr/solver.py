@@ -24,9 +24,10 @@ from .semiring import (
     _apply_transform,
     build_rule_plan,
     initial_matrix,
+    matrix_dims,
     stored_symbols,
 )
-from .sparse import BoolMat, COL, OpCounter, ROW
+from .sparse import Accumulator, BoolMat, COL, OpCounter, ROW
 
 VARIANT_NAMES = ("ma", "ma1", "ma14", "ma1234", "ma12345")
 
@@ -146,17 +147,11 @@ def forest_insert(
     return forest
 
 
-def forest_difference(
-    d: BoolMat, forest: MatrixForest, counter: OpCounter | None = None
-) -> BoolMat:
+def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
     """d minus the forest's logical union, subtracting piece by piece,
     largest piece first."""
-    return _subtract_pieces(d, forest.payloads(largest_first=True), counter)
-
-
-def _subtract_pieces(d: BoolMat, pieces, counter: OpCounter | None = None) -> BoolMat:
-    for piece in pieces:
-        d = sparse.difference(d, piece, counter)
+    for piece in forest.payloads(largest_first=True):
+        d = sparse.difference(d, piece)
     return d
 
 
@@ -279,7 +274,7 @@ class _Store:
         else:
             self.forest = None
             self.bundle = _Bundle(
-                {key: BoolMat.empty(*_dims(key[0], n, k), layout=key[1]) for key in self.keys}
+                {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
             )
 
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
@@ -294,31 +289,16 @@ class _Store:
         else:
             self.forest.insert(db, counter)
 
-    def subtract(self, cmat: BoolMat) -> BoolMat:
-        """cmat (in this store's canonical key) minus the stored matrix."""
-        return _subtract_pieces(cmat, self.pieces(self.canonical))
-
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
         if self.forest is None:
             return self.bundle.copies[self.canonical]
-        out = BoolMat.empty(*_dims(self.canonical[0], self.n, self.k), layout=self.canonical[1])
+        out = BoolMat.empty(
+            *matrix_dims(self.canonical[0], self.n, self.k), layout=self.canonical[1]
+        )
         for el in self.forest.payloads(largest_first=True):
             out = sparse.union(out, el.copies[self.canonical])
         return out
-
-    def canonical_nnz(self) -> int:
-        if self.forest is None:
-            return self.bundle.nnz
-        return self.materialized().nnz
-
-
-def _dims(repr_: str, n: int, k: int) -> tuple[int, int]:
-    if repr_ == PLAIN:
-        return (n, n)
-    if repr_ == HBLOCK:
-        return (n, k * n)
-    return (k * n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +333,8 @@ def solve(
     the graph's index universe.  ``iteration_hook(iteration, m_old, delta,
     m)`` is called at the top of every delta-loop iteration with
     materialized views.  ``deadline`` is a ``time.monotonic()`` instant
-    after which :class:`SolveTimeout` is raised between iterations.
+    after which :class:`SolveTimeout` is raised: it is checked at the top of
+    every iteration, before every product task and before the mask step.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
@@ -405,50 +386,79 @@ def solve(
         crepr, clay = canonical[sym]
         init_canonical[sym] = _derive(m, repr_, crepr, clay, n, k)
 
-    capacity = sum(_dims(canonical[s][0], n, k)[0] * _dims(canonical[s][0], n, k)[1] for s in syms)
+    capacity = sum(r * c for r, c in (matrix_dims(canonical[s][0], n, k) for s in syms))
     max_iterations = capacity + 2
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    # one accumulator per result symbol per iteration, in its canonical key;
+    # each is filled by a single task, so no two pool threads share one
+    steps_by_result: dict[Symbol, list[BinStep]] = {}
+    for st in plan.bin_steps:
+        steps_by_result.setdefault(st.result[0], []).append(st)
+    results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
+    result_syms = [s for s in syms if s in results]
 
-    def run_tasks(tasks):
-        if executor is None:
-            return [t() for t in tasks]
-        return list(executor.map(lambda fn: fn(), tasks))
+    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
-    def normalize_to(sym: Symbol, repr_: str, piece: BoolMat) -> BoolMat:
-        crepr, clay = canonical[sym]
-        return _derive(piece, repr_, crepr, clay, n, k)
+    def new_accumulators() -> dict[Symbol, Accumulator]:
+        return {
+            s: Accumulator(*matrix_dims(canonical[s][0], n, k), layout=canonical[s][1])
+            for s in result_syms
+        }
 
-    def bin_task(step: BinStep, left_mats, right_mats, orientation):
+    def product_task(acc: Accumulator, jobs, orientation: str):
+        """Every product of one result symbol's steps, added to its
+        accumulator; ``jobs`` holds (step, left operands, right operands)."""
+
         def run():
+            check_deadline()
             local = OpCounter()
-            out: BoolMat | None = None
-            for lm in left_mats:
-                la = _apply_transform(lm, step.left_transform, n, k)
-                for rm in right_mats:
-                    ra = _apply_transform(rm, step.right_transform, n, k)
-                    prod = sparse.spgemm(la, ra, orientation, local)
-                    out = prod if out is None else sparse.union(out, prod, local)
-            if out is not None and out.nnz:
-                out = normalize_to(step.result[0], step.result[1], out)
-            return step.result[0], out, local
+            for step, lefts, rights in jobs:
+                rights = [_apply_transform(rm, step.right_transform, n, k) for rm in rights]
+                for lm in lefts:
+                    la = _apply_transform(lm, step.left_transform, n, k)
+                    for ra in rights:
+                        sparse.spgemm(la, ra, orientation, local, into=acc)
+            return local
 
         return run
 
-    def empty_delta(sym: Symbol, repr_: str, layout: str) -> BoolMat:
-        return BoolMat.empty(*_dims(repr_, n, k), layout=layout)
-
-    def accumulate(results, acc: dict[Symbol, BoolMat]):
-        for sym, piece, local in results:
+    def gather(accs, operands, orientation: str) -> None:
+        """Multiply every binary step's operands (``operands(step)`` gives
+        the left and right lists) into the accumulators."""
+        tasks = [
+            product_task(accs[sym], [(st, *operands(st)) for st in steps], orientation)
+            for sym, steps in steps_by_result.items()
+        ]
+        if executor is None:
+            counts = [task() for task in tasks]
+        else:
+            counts = list(executor.map(lambda task: task(), tasks))
+        for local in counts:
             counter.add(local)
-            if piece is None or not piece.nnz:
-                continue
-            cur = acc.get(sym)
-            acc[sym] = piece if cur is None else sparse.union(cur, piece, counter)
+
+    def gather_units(accs, source) -> None:
+        """Add every unit step's source matrix (``source(key)``)."""
+        for ust in plan.unit_steps:
+            piece = source(ust.source)
+            if ust.collapse:
+                piece = sparse.block_collapse(piece, n, k)
+            accs[ust.result[0]].add(piece)
+
+    def mask(accs) -> dict[Symbol, BoolMat]:
+        """What each accumulator holds beyond its symbol's stored matrix,
+        for the symbols that gained entries."""
+        check_deadline()
+        out = {}
+        for s, acc in accs.items():
+            if acc.lines:
+                fresh = sparse.masked(acc, stores[s].pieces(canonical[s]), counter)
+                if fresh.nnz:
+                    out[s] = fresh
+        return out
 
     def materialized_view() -> NontermMatrix:
         mats = {}
@@ -461,7 +471,7 @@ def solve(
     iterations = 0
     try:
         if not flags.delta:
-            # baseline: square and fold until the total size stops moving
+            # baseline: square and fold until no product entry is new
             for s in syms:
                 im = init_canonical.get(s)
                 if im is not None and im.nnz:
@@ -471,38 +481,21 @@ def solve(
                 iterations += 1
                 if iterations > max_iterations:
                     raise RuntimeError("fixpoint failed to converge (bug)")
-                tasks = [
-                    bin_task(
-                        st,
+                accs = new_accumulators()
+                gather(
+                    accs,
+                    lambda st: (
                         stores[st.left[0]].pieces((st.left[1], ROW)),
                         stores[st.right[0]].pieces((st.right[1], ROW)),
-                        sparse.ROW_BY_ROW,
-                    )
-                    for st in plan.bin_steps
-                ]
-                acc: dict[Symbol, BoolMat] = {}
-                accumulate(run_tasks(tasks), acc)
-                for ust in plan.unit_steps:
-                    piece = stores[ust.source[0]].pieces((ust.source[1], ROW))[0]
-                    if ust.collapse:
-                        piece = sparse.block_collapse(piece, n, k)
-                    if piece.nnz:
-                        piece = normalize_to(ust.result[0], ust.result[1], piece)
-                        cur = acc.get(ust.result[0])
-                        acc[ust.result[0]] = (
-                            piece if cur is None else sparse.union(cur, piece, counter)
-                        )
-                changed = False
-                for s in syms:
-                    cm = acc.get(s)
-                    if cm is None or not cm.nnz:
-                        continue
-                    before = stores[s].canonical_nnz()
-                    stores[s].insert(_DeltaView(cm, canonical[s], n, k), counter)
-                    if stores[s].canonical_nnz() != before:
-                        changed = True
-                if not changed:
+                    ),
+                    sparse.ROW_BY_ROW,
+                )
+                gather_units(accs, lambda key: stores[key[0]].pieces((key[1], ROW))[0])
+                fresh = mask(accs)
+                if not fresh:
                     break
+                for s, m in fresh.items():
+                    stores[s].insert(_DeltaView(m, canonical[s], n, k), counter)
         else:
             deltas: dict[Symbol, _DeltaView] = {
                 s: _DeltaView(m, canonical[s], n, k)
@@ -536,60 +529,36 @@ def solve(
                 def delta_side(sym: Symbol, repr_: str, layout: str) -> BoolMat:
                     dv = deltas.get(sym)
                     if dv is None:
-                        return empty_delta(sym, repr_, layout)
+                        return BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
                     return dv.copy(repr_, layout)
 
+                accs = new_accumulators()
                 # products against the pre-insertion snapshot, delta on the right
-                orientation_a = sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW
-                tasks_a = [
-                    bin_task(
-                        st,
+                gather(
+                    accs,
+                    lambda st: (
                         stores[st.left[0]].pieces((st.left[1], left_lay)),
                         [delta_side(st.right[0], st.right[1], left_lay)],
-                        orientation_a,
-                    )
-                    for st in plan.bin_steps
-                ]
-                results_a = run_tasks(tasks_a)
+                    ),
+                    sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW,
+                )
 
                 for s, dv in deltas.items():
                     stores[s].insert(dv, counter)
 
                 # products against the updated matrix, delta on the left
-                tasks_b = [
-                    bin_task(
-                        st,
+                gather(
+                    accs,
+                    lambda st: (
                         [delta_side(st.left[0], st.left[1], ROW)],
                         stores[st.right[0]].pieces((st.right[1], ROW)),
-                        sparse.ROW_BY_ROW,
-                    )
-                    for st in plan.bin_steps
-                ]
-                results_b = run_tasks(tasks_b)
-
-                acc = {}
-                accumulate(results_a, acc)
-                accumulate(results_b, acc)
-                for ust in plan.unit_steps:
-                    piece = delta_side(ust.source[0], ust.source[1], ROW)
-                    if ust.collapse:
-                        piece = sparse.block_collapse(piece, n, k)
-                    if piece.nnz:
-                        piece = normalize_to(ust.result[0], ust.result[1], piece)
-                        cur = acc.get(ust.result[0])
-                        acc[ust.result[0]] = (
-                            piece if cur is None else sparse.union(cur, piece, counter)
-                        )
-
-                new_deltas: dict[Symbol, _DeltaView] = {}
-                for s in syms:
-                    cm = acc.get(s)
-                    if cm is None or not cm.nnz:
-                        continue
-                    dnew = stores[s].subtract(cm)
-                    if dnew.nnz:
-                        new_deltas[s] = _DeltaView(dnew, canonical[s], n, k)
-                deltas = new_deltas
+                    ),
+                    sparse.ROW_BY_ROW,
+                )
+                gather_units(accs, lambda key: delta_side(key[0], key[1], ROW))
+                deltas = {
+                    s: _DeltaView(m, canonical[s], n, k) for s, m in mask(accs).items()
+                }
     finally:
         if executor is not None:
             executor.shutdown(wait=True)

@@ -1,7 +1,8 @@
 """Sparse Boolean matrices in row- or column-major layout, plus the kernel
 operations the reachability engine is built from: Boolean matrix product in
-both orientations, element-wise union/difference, layout conversion, and the
-block-matrix reshapes used for indexed symbol families.
+both orientations, element-wise union/difference, layout conversion, the
+block-matrix reshapes used for indexed symbol families, and a mutable
+accumulator that gathers many products and is then complement-masked.
 
 A matrix stores, per nonempty line (row in row-major, column in column-major),
 a sorted duplicate-free list of positions.  Empty lines are simply absent, so
@@ -26,9 +27,11 @@ class OpCounter:
     """Deterministic work counters: a machine-independent cost signal.
 
     scalar_ops counts every (left-entry, matching right-line-entry) pair a
-    multiplication visits; union_entries counts every stored entry a union
-    reads.  Both are independent of thread scheduling because they are sums
-    of per-operation totals.
+    multiplication visits.  union_entries counts every stored entry a union
+    reads, plus every entry an :class:`Accumulator` received (repeats
+    included), counted when :func:`masked` empties it; the tests of the
+    mask itself are not counted.  All are independent of thread scheduling
+    because they are sums of per-operation totals.
     """
 
     spgemm_calls: int = 0
@@ -178,9 +181,99 @@ def _diff_sorted(a: list[int], b: list[int]) -> list[int]:
     return [x for x in a if x not in bs]
 
 
+class Accumulator:
+    """A matrix under construction: per line, the positions added so far,
+    unsorted and possibly repeated.  Unlike :class:`BoolMat` it is mutable.
+    ``spgemm(..., into=acc)`` and :meth:`add` append to it, and
+    :func:`masked` turns it into a :class:`BoolMat`, so a result gathered
+    from many products is sorted and deduplicated once."""
+
+    __slots__ = ("rows", "cols", "layout", "lines")
+
+    def __init__(self, rows: int, cols: int, layout: str = ROW):
+        if layout not in (ROW, COL):
+            raise ValueError(f"unknown layout {layout!r}")
+        self.rows = rows
+        self.cols = cols
+        self.layout = layout
+        self.lines: dict[int, list[int]] = {}
+
+    def sink(self, rows: int, cols: int, layout: str):
+        """A function ``put(line, positions)`` adding one line of a
+        rows x cols matrix stored in ``layout``.  A matrix of this
+        accumulator's shape is added as it is, re-bucketed entry by entry
+        when its layout differs.  A row-major n x k*n accumulator of
+        horizontal blocks also takes a k*n x n matrix of vertical blocks:
+        entry (t*n + u, w) goes to (u, t*n + w), as in
+        :func:`vertical_to_horizontal`."""
+        lines = self.lines
+        get = lines.get
+        if (rows, cols) == (self.rows, self.cols):
+            if layout == self.layout:
+
+                def put(k, ps):
+                    line = get(k)
+                    if line is None:
+                        lines[k] = list(ps)
+                    else:
+                        line.extend(ps)
+
+            else:
+
+                def put(k, ps):
+                    for p in ps:
+                        line = get(p)
+                        if line is None:
+                            lines[p] = [k]
+                        else:
+                            line.append(k)
+
+            return put
+        n = self.rows
+        if (rows, cols) != (self.cols, n) or self.layout != ROW or (n and self.cols % n):
+            raise ValueError(
+                f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} "
+                f"{self.layout}-major accumulator"
+            )
+        if layout == ROW:
+
+            def put(i, js):
+                u = i % n
+                off = i - u
+                moved = [off + j for j in js]
+                line = get(u)
+                if line is None:
+                    lines[u] = moved
+                else:
+                    line.extend(moved)
+
+        else:
+
+            def put(j, is_):
+                for i in is_:
+                    u = i % n
+                    line = get(u)
+                    if line is None:
+                        lines[u] = [i - u + j]
+                    else:
+                        line.append(i - u + j)
+
+        return put
+
+    def add(self, m: BoolMat) -> None:
+        """Add every entry of ``m`` (see :meth:`sink` for the shapes)."""
+        put = self.sink(m.rows, m.cols, m.layout)
+        for k, line in m.lines.items():
+            put(k, line)
+
+
 def spgemm(
-    a: BoolMat, b: BoolMat, orientation: str = ROW_BY_ROW, counter: OpCounter | None = None
-) -> BoolMat:
+    a: BoolMat,
+    b: BoolMat,
+    orientation: str = ROW_BY_ROW,
+    counter: OpCounter | None = None,
+    into: Accumulator | None = None,
+) -> BoolMat | None:
     """Exact Boolean product a @ b.
 
     Row-by-row iterates the left operand's lines (both operands row-major,
@@ -188,47 +281,78 @@ def spgemm(
     (both column-major, column-major result).  Cost is therefore driven by
     the operand on the orientation's natural driving side, which is what
     makes a sparse delta cheap when placed there.
+
+    With ``into`` the product's lines are added to that accumulator, moved
+    to its layout and shape as :meth:`Accumulator.sink` says, and nothing
+    is returned.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape()} @ {b.shape()}")
-    sops = 0
-    out: dict[int, list[int]] = {}
     if orientation == ROW_BY_ROW:
         if a.layout != ROW or b.layout != ROW:
             raise ValueError("row-by-row requires both operands row-major")
-        blines = b.lines
-        bget = blines.get
-        for i, aline in a.lines.items():
-            acc: set[int] = set()
-            for k in aline:
-                bl = bget(k)
-                if bl:
-                    acc.update(bl)
-                    sops += len(bl)
-            if acc:
-                out[i] = sorted(acc)
-        result = BoolMat(a.rows, b.cols, ROW, out)
+        driver, other, layout = a, b, ROW
     elif orientation == COL_BY_COL:
         if a.layout != COL or b.layout != COL:
             raise ValueError("column-by-column requires both operands column-major")
-        alines = a.lines
-        aget = alines.get
-        for j, bline in b.lines.items():
-            acc = set()
-            for k in bline:
-                al = aget(k)
-                if al:
-                    acc.update(al)
-                    sops += len(al)
-            if acc:
-                out[j] = sorted(acc)
-        result = BoolMat(a.rows, b.cols, COL, out)
+        driver, other, layout = b, a, COL
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
+    target = into if into is not None else Accumulator(a.rows, b.cols, layout)
+    put = target.sink(a.rows, b.cols, layout)
+    oget = other.lines.get
+    sops = 0
+    for i, dline in driver.lines.items():
+        acc: set[int] = set()
+        for k in dline:
+            ol = oget(k)
+            if ol:
+                acc.update(ol)
+                sops += len(ol)
+        if acc:
+            put(i, acc)
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
-    return result
+    if into is None:
+        # every line was put once, from a set
+        return BoolMat(a.rows, b.cols, layout, {i: sorted(v) for i, v in target.lines.items()})
+    return None
+
+
+def masked(
+    acc: Accumulator, pieces: Iterable[BoolMat], counter: OpCounter | None = None
+) -> BoolMat:
+    """The complement-masked result C<not M> of everything gathered in
+    ``acc``: each line becomes sorted(set(line) - that line of every
+    piece), and lines left empty are dropped.  The pieces together are M;
+    they share the accumulator's shape and layout.  ``acc`` is emptied.
+    The entries it received count as ``union_entries``."""
+    masks = []
+    for p in pieces:
+        if p.shape() != (acc.rows, acc.cols) or p.layout != acc.layout:
+            raise ValueError(
+                f"mask {p!r} does not match the {acc.rows}x{acc.cols} "
+                f"{acc.layout}-major accumulator"
+            )
+        if p.nnz:
+            masks.append(p.lines.get)
+    lines = acc.lines
+    if counter is not None:
+        counter.union_entries += sum(map(len, lines.values()))
+    out: dict[int, list[int]] = {}
+    while lines:
+        k, line = lines.popitem()
+        keep = set(line)
+        for get in masks:
+            got = get(k)
+            if got:
+                keep.difference_update(got)
+                if not keep:
+                    break
+        if keep:
+            out[k] = sorted(keep)
+    return BoolMat(acc.rows, acc.cols, acc.layout, out)
 
 
 def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
@@ -249,7 +373,7 @@ def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
     return BoolMat(a.rows, a.cols, a.layout, out)
 
 
-def difference(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
+def difference(a: BoolMat, b: BoolMat) -> BoolMat:
     """Entries of ``a`` absent from ``b``.  Layouts may differ."""
     if a.shape() != b.shape():
         raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from cflr.grammar import ensure_wcnf, preset
+import cflr.solver
+import cflr.sparse
+from cflr.grammar import ensure_wcnf, parse_grammar, preset
 from cflr.graph import chain_graph, load_graph
 from cflr.oracle import oracle_solve
 from cflr.semiring import semiring_matmul
@@ -267,6 +269,78 @@ class TestSolve:
         graph = chain_graph(512)
         with pytest.raises(SolveTimeout):
             solve(graph, g, VariantFlags.named("ma"), deadline=time.monotonic())
+
+    def test_deadline_holds_inside_an_iteration(self, monkeypatch):
+        """The deadline passes during the first product task of iteration 1;
+        the solve stops before that iteration's remaining products."""
+        g = ensure_wcnf(preset("dyck"))
+        graph = chain_graph(16)
+        full = solve(graph, g, VariantFlags.named("ma1"))
+        per_iteration = full.counters.spgemm_calls // full.iterations
+        now = [0.0]
+        products = []
+        iterations = []
+        spgemm = cflr.sparse.spgemm
+
+        def slow_spgemm(*args, **kwargs):
+            products.append(1)
+            now[0] = 10.0
+            return spgemm(*args, **kwargs)
+
+        monkeypatch.setattr(cflr.solver.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(cflr.sparse, "spgemm", slow_spgemm)
+        with pytest.raises(SolveTimeout):
+            solve(
+                graph,
+                g,
+                VariantFlags.named("ma1"),
+                deadline=5.0,
+                iteration_hook=lambda it, *_: iterations.append(it),
+            )
+        assert iterations == [1]
+        assert 1 <= len(products) < per_iteration
+
+    def test_right_transform_is_built_once_per_operand(self, monkeypatch):
+        """A ``c -> x y_i`` rule collapses its right operand.  While x's
+        forest holds two or more pieces, each right operand is still
+        collapsed once per iteration, not once per left piece."""
+        g = ensure_wcnf(
+            parse_grammar(
+                "start: S\nS -> X Y_[i]\nX -> a | X a\nY_[i] -> c_[i] | b Y_[i]\n"
+            )
+        )
+        lines = [f"{i} a {i + 1}" for i in range(12)]
+        lines += [f"{i} b {i + 1}" for i in range(12, 18)]
+        lines += ["18 c_f0 19", "18 c_f1 20"]
+        graph = load_graph("\n".join(lines) + "\n", g)
+        collapsed: list[list] = []  # per iteration: the matrices collapsed
+        uses: list[list] = []  # per iteration: right operands of products
+        collapse, spgemm = cflr.sparse.block_collapse, cflr.sparse.spgemm
+
+        def counting_collapse(h, *args):
+            out = collapse(h, *args)
+            collapsed[-1].append((h, out))
+            return out
+
+        def counting_spgemm(a, b, *args, **kwargs):
+            uses[-1].append(b)
+            return spgemm(a, b, *args, **kwargs)
+
+        def next_iteration(*_):
+            collapsed.append([])
+            uses.append([])
+
+        monkeypatch.setattr(cflr.sparse, "block_collapse", counting_collapse)
+        monkeypatch.setattr(cflr.sparse, "spgemm", counting_spgemm)
+        r = solve(graph, g, VariantFlags.named("ma1234", b=2), iteration_hook=next_iteration)
+        assert r.triples() == oracle_solve(graph, g)
+        most_pieces = 0
+        for calls, rights in zip(collapsed, uses):
+            sources = [h for h, _ in calls]
+            assert all(sum(h is o for o in sources) == 1 for h in sources)
+            for _, out in calls:
+                most_pieces = max(most_pieces, sum(out is b for b in rights))
+        assert most_pieces >= 2  # some collapsed operand met two left pieces
 
     def test_result_reports_executed_grammar(self):
         g = ensure_wcnf(preset("cscvf-wcnf"))

@@ -9,6 +9,7 @@ from cflr.sparse import (
     COL_BY_COL,
     ROW,
     ROW_BY_ROW,
+    Accumulator,
     BoolMat,
     OpCounter,
     block_collapse,
@@ -17,6 +18,7 @@ from cflr.sparse import (
     convert,
     difference,
     horizontal_to_vertical,
+    masked,
     spgemm,
     union,
     vertical_to_horizontal,
@@ -147,6 +149,141 @@ class TestUnionDifference:
             union(BoolMat.empty(2, 2, ROW), BoolMat.empty(2, 2, COL))
         with pytest.raises(ValueError):
             difference(BoolMat.empty(2, 2), BoolMat.empty(2, 3))
+
+
+def _operand_layout(orientation):
+    return ROW if orientation == ROW_BY_ROW else COL
+
+
+def _union_minus(products, to_target, pieces, rows, cols, layout):
+    """Reference for gather-then-mask: union the products, each converted
+    to the target, then subtract every piece."""
+    want = BoolMat.empty(rows, cols, layout)
+    for p in products:
+        want = union(want, to_target(p))
+    for piece in pieces:
+        want = difference(want, piece)
+    return want
+
+
+def _assert_masked_result(got, want, layout):
+    assert got == want and got.layout == layout
+    assert all(line and line == sorted(set(line)) for line in got.lines.values())
+
+
+class TestGatherAndMask:
+    """Products gathered in an Accumulator and masked once equal
+    difference(union of the products, converted to the target layout or
+    representation, the stored pieces)."""
+
+    @pytest.mark.parametrize(
+        "orientation, target",
+        [(ROW_BY_ROW, ROW), (COL_BY_COL, ROW), (ROW_BY_ROW, COL), (COL_BY_COL, COL)],
+    )
+    @given(
+        n=st.integers(1, 10),
+        count=st.integers(0, 3),
+        masks=st.integers(0, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plain_products(self, orientation, target, n, count, masks, rng):
+        lay = _operand_layout(orientation)
+        pairs = [
+            (
+                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
+            )
+            for _ in range(count)
+        ]
+        pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(masks)]
+        pieces.append(BoolMat.empty(n, n, target))
+        acc = Accumulator(n, n, target)
+        for a, b in pairs:
+            assert spgemm(a, b, orientation, into=acc) is None
+        got = masked(acc, pieces)
+        want = _union_minus(
+            [spgemm(a, b, orientation) for a, b in pairs],
+            lambda p: convert(p, target),
+            pieces,
+            n,
+            n,
+            target,
+        )
+        _assert_masked_result(got, want, target)
+        assert not acc.lines  # masking empties the accumulator
+
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 3),
+        count=st.integers(0, 3),
+        masks=st.integers(0, 2),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vertical_products_move_to_horizontal_slots(
+        self, orientation, n, k, count, masks, rng
+    ):
+        # keep-l products V[c] = V[x] . plain, plus horizontal unit pieces
+        lay = _operand_layout(orientation)
+        pairs = [
+            (
+                random_boolmat(rng, k * n, n, rng.random() * 0.5, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
+            )
+            for _ in range(count)
+        ]
+        units = [random_boolmat(rng, n, k * n, 0.2) for _ in range(rng.randrange(2))]
+        pieces = [random_boolmat(rng, n, k * n, rng.random() * 0.6) for _ in range(masks)]
+        pieces.append(BoolMat.empty(n, k * n))
+        acc = Accumulator(n, k * n, ROW)
+        for a, b in pairs:
+            spgemm(a, b, orientation, into=acc)
+        for u in units:
+            acc.add(u)
+        got = masked(acc, pieces)
+        want = _union_minus(
+            [vertical_to_horizontal(spgemm(a, b, orientation), n, k) for a, b in pairs]
+            + units,
+            lambda p: convert(p, ROW),
+            pieces,
+            n,
+            k * n,
+            ROW,
+        )
+        _assert_masked_result(got, want, ROW)
+
+    def test_empty_pieces_and_products(self):
+        acc = Accumulator(4, 4)
+        spgemm(BoolMat.empty(4, 4), BoolMat.from_entries(4, 4, [(0, 1)]), into=acc)
+        assert not acc.lines
+        assert masked(acc, [BoolMat.empty(4, 4)]).nnz == 0
+        acc.add(BoolMat.from_entries(4, 4, [(2, 3), (2, 1)]))
+        got = masked(acc, [BoolMat.empty(4, 4), BoolMat.empty(4, 4)])
+        assert got.lines == {2: [1, 3]}
+
+    def test_a_row_the_mask_covers_is_dropped(self):
+        a = BoolMat.from_entries(3, 3, [(0, 1), (1, 1)])
+        b = BoolMat.from_entries(3, 3, [(1, 0), (1, 2)])
+        acc = Accumulator(3, 3)
+        c = OpCounter()
+        spgemm(a, b, ROW_BY_ROW, c, into=acc)
+        spgemm(a, b, ROW_BY_ROW, c, into=acc)  # the same entries again
+        assert (c.spgemm_calls, c.scalar_ops) == (2, 8)
+        covers_row_0 = BoolMat.from_entries(3, 3, [(0, 0), (0, 2), (2, 2)])
+        got = masked(acc, [covers_row_0, BoolMat.from_entries(3, 3, [(1, 2)])], c)
+        assert got.lines == {1: [0]}
+        assert c.union_entries == 8  # every entry received, repeats included
+
+    def test_shape_errors(self):
+        acc = Accumulator(2, 6)
+        with pytest.raises(ValueError):
+            acc.add(BoolMat.empty(3, 2))
+        with pytest.raises(ValueError):
+            Accumulator(2, 6, COL).add(BoolMat.empty(6, 2))
+        with pytest.raises(ValueError):
+            masked(acc, [BoolMat.empty(2, 6, COL)])
 
 
 class TestConvert:
