@@ -31,6 +31,7 @@ for n, ratio in ratios:
     print(f"   n={n:<5d} {ratio:7.1f}x")
 print("\nThe ratio grows with n: the baseline's cost per iteration tracks the")
 print("whole matrix, the delta loop's tracks only the two new pairs per round.")
-print("The lazy-union variant also cuts union_entries several-fold for a few")
-print("more spgemm calls: small deltas merge only with small forest pieces")
-print("instead of rebuilding the matrix.")
+print("union_entries counts the entries inserted into the stored matrices and")
+print("the entries gathered per iteration.  Both delta variants merge each delta")
+print("in place, so they stay close; the lazy-union variant's forest folds only")
+print("small pieces into larger ones, for a few more spgemm calls.")

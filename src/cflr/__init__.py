@@ -52,7 +52,6 @@ from .solver import (
     VARIANT_NAMES,
     forest_difference,
     forest_insert,
-    multiply_with_forest,
     solve,
 )
 from .sparse import BoolMat, OpCounter
@@ -86,7 +85,6 @@ __all__ = [
     "initial_matrix",
     "load_graph",
     "load_graph_file",
-    "multiply_with_forest",
     "oracle_solve",
     "parse_grammar",
     "preset",

@@ -155,40 +155,6 @@ def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
     return d
 
 
-def multiply_with_forest(
-    d: BoolMat,
-    forest: MatrixForest,
-    side: str,
-    dual_format: bool = False,
-    counter: OpCounter | None = None,
-) -> BoolMat:
-    """Product of a delta with a forest-held matrix.
-
-    ``delta-left`` computes the union of d @ piece row-by-row; ``delta-right``
-    the union of piece @ d, column-by-column when dual_format (the delta,
-    converted to column-major, drives the cost), row-by-row otherwise.
-    """
-    if side not in ("delta-left", "delta-right"):
-        raise ValueError(f"unknown side {side!r}")
-    out: BoolMat | None = None
-    d_col = None
-    for piece in forest.payloads(largest_first=True):
-        if side == "delta-left":
-            prod = sparse.spgemm(d, piece, sparse.ROW_BY_ROW, counter)
-        elif dual_format:
-            if d_col is None:
-                d_col = sparse.convert(d, COL)
-            prod = sparse.spgemm(
-                sparse.convert(piece, COL), d_col, sparse.COL_BY_COL, counter
-            )
-            prod = sparse.convert(prod, ROW)
-        else:
-            prod = sparse.spgemm(piece, d, sparse.ROW_BY_ROW, counter)
-        out = prod if out is None else sparse.union(out, prod, counter)
-    # an empty forest holds the all-zero matrix of d's shape
-    return out if out is not None else BoolMat.empty(d.rows, d.cols)
-
-
 # ---------------------------------------------------------------------------
 # internal storage: per-symbol copies in every (representation, layout) the
 # rule plan consumes
@@ -212,24 +178,32 @@ def _derive(m: BoolMat, src_repr: str, dst_repr: str, dst_layout: str, n: int, k
 
 
 class _Bundle:
-    """Mirrored copies of one logical matrix, one per store key."""
+    """Mirrored copies of one logical matrix, one per store key.  A bundle
+    made from a fresh delta does not own its copies: the delta is still
+    read in the iteration that found it, so the bundle is copied once
+    before anything is merged into it."""
 
-    __slots__ = ("copies", "nnz")
+    __slots__ = ("copies", "nnz", "owned")
 
-    def __init__(self, copies: dict[_StoreKey, BoolMat]):
+    def __init__(self, copies: dict[_StoreKey, BoolMat], owned: bool = True):
         self.copies = copies
         self.nnz = next(iter(copies.values())).nnz if copies else 0
+        self.owned = owned
 
-    @classmethod
-    def from_canonical(
-        cls, mat: BoolMat, src_repr: str, keys, n: int, k: int
-    ) -> "_Bundle":
-        return cls({(r, lay): _derive(mat, src_repr, r, lay, n, k) for r, lay in keys})
+    def merge(self, other: "_Bundle", counter: OpCounter | None) -> None:
+        """Add the disjoint ``other`` to every copy in place."""
+        for key, m in self.copies.items():
+            sparse.merge_into(other.copies[key], m, counter)
+        self.nnz += other.nnz
 
-    def union(self, other: "_Bundle", counter: OpCounter | None) -> "_Bundle":
-        return _Bundle(
-            {key: sparse.union(m, other.copies[key], counter) for key, m in self.copies.items()}
-        )
+
+def _fold(small: _Bundle, large: _Bundle, counter: OpCounter | None) -> _Bundle:
+    """A forest merge: fold the smaller of two disjoint bundles into the
+    larger one, which is copied first if it does not own its copies."""
+    if not large.owned:
+        large = _Bundle({key: m.copy() for key, m in large.copies.items()})
+    large.merge(small, counter)
+    return large
 
 
 class _DeltaView:
@@ -253,12 +227,12 @@ class _DeltaView:
         return m
 
     def bundle(self, keys) -> _Bundle:
-        return _Bundle({key: self.copy(*key) for key in keys})
+        return _Bundle({key: self.copy(*key) for key in keys}, owned=False)
 
 
 class _Store:
-    """All stored state for one symbol: a single bundle, or a forest of
-    bundles under lazy union."""
+    """All stored state for one symbol: a single bundle that each delta is
+    merged into in place, or a forest of bundles under lazy union."""
 
     __slots__ = ("sym", "keys", "canonical", "n", "k", "forest", "bundle")
 
@@ -269,7 +243,7 @@ class _Store:
         self.n = n
         self.k = k
         if lazy:
-            self.forest: MatrixForest | None = MatrixForest(b, combine=_Bundle.union)
+            self.forest: MatrixForest | None = MatrixForest(b, combine=_fold)
             self.bundle = None
         else:
             self.forest = None
@@ -285,7 +259,7 @@ class _Store:
     def insert(self, dview: _DeltaView, counter: OpCounter | None) -> None:
         db = dview.bundle(self.keys)
         if self.forest is None:
-            self.bundle = self.bundle.union(db, counter)
+            self.bundle.merge(db, counter)
         else:
             self.forest.insert(db, counter)
 
@@ -460,12 +434,15 @@ def solve(
                     out[s] = fresh
         return out
 
-    def materialized_view() -> NontermMatrix:
+    def materialized_view(snapshot: bool = False) -> NontermMatrix:
+        """Every symbol's matrix, row-major.  These may share lines with
+        the stores, which change in place, so a ``snapshot`` copies them."""
         mats = {}
         for s in syms:
             m = stores[s].materialized()
             crepr, _ = canonical[s]
-            mats[(s, crepr)] = _derive(m, crepr, crepr, ROW, n, k)
+            m = _derive(m, crepr, crepr, ROW, n, k)
+            mats[(s, crepr)] = m.copy() if snapshot else m
         return NontermMatrix(n, universe, mats)
 
     iterations = 0
@@ -518,7 +495,7 @@ def solve(
                             for s, dv in deltas.items()
                         },
                     )
-                    m_old_nm = materialized_view()
+                    m_old_nm = materialized_view(snapshot=True)
                     iteration_hook(
                         iterations,
                         m_old_nm,
@@ -543,6 +520,7 @@ def solve(
                     sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW,
                 )
 
+                # on the calling thread: no pool task sees a store change
                 for s, dv in deltas.items():
                     stores[s].insert(dv, counter)
 

@@ -1,8 +1,9 @@
 """Sparse Boolean matrices in row- or column-major layout, plus the kernel
 operations the reachability engine is built from: Boolean matrix product in
 both orientations, element-wise union/difference, layout conversion, the
-block-matrix reshapes used for indexed symbol families, and a mutable
-accumulator that gathers many products and is then complement-masked.
+block-matrix reshapes used for indexed symbol families, a mutable
+accumulator that gathers many products and is then complement-masked, and
+an in-place merge of a disjoint delta into a stored matrix.
 
 A matrix stores, per nonempty line (row in row-major, column in column-major),
 a sorted duplicate-free list of positions.  Empty lines are simply absent, so
@@ -27,11 +28,13 @@ class OpCounter:
     """Deterministic work counters: a machine-independent cost signal.
 
     scalar_ops counts every (left-entry, matching right-line-entry) pair a
-    multiplication visits.  union_entries counts every stored entry a union
-    reads, plus every entry an :class:`Accumulator` received (repeats
-    included), counted when :func:`masked` empties it; the tests of the
-    mask itself are not counted.  All are independent of thread scheduling
-    because they are sums of per-operation totals.
+    multiplication visits.  union_entries counts every entry
+    :func:`merge_into` inserts into a stored matrix (once per stored copy),
+    every stored entry a :func:`union` reads, and every entry an
+    :class:`Accumulator` received (repeats included), counted when
+    :func:`masked` empties it; the tests of the mask itself are not
+    counted.  All are independent of thread scheduling because they are
+    sums of per-operation totals.
     """
 
     spgemm_calls: int = 0
@@ -55,11 +58,14 @@ class OpCounter:
 
 
 class BoolMat:
-    """Immutable-by-convention sparse Boolean matrix.
+    """Sparse Boolean matrix, immutable by convention.
 
     ``lines`` maps a row index (row-major) or column index (column-major) to
-    a sorted list of the true positions on that line.  All operations return
-    fresh matrices and never mutate their inputs.
+    a sorted list of the true positions on that line, in ascending key
+    order.  All operations return fresh matrices and never mutate their
+    inputs, except :func:`merge_into`, which updates the matrix it merges
+    into in place.  Only the solver's stores are passed to it, so a matrix
+    a caller built or received is never changed.
     """
 
     __slots__ = ("rows", "cols", "layout", "lines", "nnz")
@@ -98,6 +104,11 @@ class BoolMat:
     @classmethod
     def identity(cls, n: int, layout: str = ROW) -> "BoolMat":
         return cls(n, n, layout, {i: [i] for i in range(n)})
+
+    def copy(self) -> "BoolMat":
+        """An independent copy: no line list is shared."""
+        lines = {k: list(v) for k, v in self.lines.items()}
+        return BoolMat(self.rows, self.cols, self.layout, lines)
 
     # -- queries ------------------------------------------------------
 
@@ -300,17 +311,19 @@ def spgemm(
         raise ValueError(f"unknown orientation {orientation!r}")
     target = into if into is not None else Accumulator(a.rows, b.cols, layout)
     put = target.sink(a.rows, b.cols, layout)
-    oget = other.lines.get
     sops = 0
-    for i, dline in driver.lines.items():
-        acc: set[int] = set()
-        for k in dline:
-            ol = oget(k)
-            if ol:
-                acc.update(ol)
-                sops += len(ol)
-        if acc:
-            put(i, acc)
+    # an empty operand makes an empty product: the driver is not walked
+    if a.nnz and b.nnz:
+        oget = other.lines.get
+        for i, dline in driver.lines.items():
+            acc: set[int] = set()
+            for k in dline:
+                ol = oget(k)
+                if ol:
+                    acc.update(ol)
+                    sops += len(ol)
+            if acc:
+                put(i, acc)
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
@@ -353,6 +366,45 @@ def masked(
         if keep:
             out[k] = sorted(keep)
     return BoolMat(acc.rows, acc.cols, acc.layout, out)
+
+
+def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None:
+    """Add every entry of ``d`` to ``m`` in place.  ``d`` must be disjoint
+    from ``m`` and share its shape and layout.  A line new to ``m`` gets a
+    copy of d's line; an existing line is replaced by the two lines
+    concatenated and sorted (timsort merges the two sorted runs).  ``d`` is
+    not changed and shares no list with ``m`` afterwards, and m's line keys
+    stay ascending.  The entries of ``d`` count as ``union_entries``."""
+    if m.shape() != d.shape():
+        raise ValueError(f"shape mismatch: {m.shape()} vs {d.shape()}")
+    if m.layout != d.layout:
+        raise ValueError("merge_into requires matching layouts")
+    if not d.nnz:
+        return
+    lines = m.lines
+    get = lines.get
+    last = next(reversed(lines), -1)
+    out_of_order = False
+    for k, dline in d.lines.items():
+        line = get(k)
+        if line is None:
+            # d's keys ascend, so only a key below m's old last key breaks
+            # the order
+            lines[k] = list(dline)
+            out_of_order = out_of_order or k < last
+        else:
+            # a new list of exactly the merged size: an extended list would
+            # keep its growth slack for the rest of the solve
+            line = line + dline
+            line.sort()
+            lines[k] = line
+    if out_of_order:
+        items = sorted(lines.items())
+        lines.clear()
+        lines.update(items)
+    m.nnz += d.nnz
+    if counter is not None:
+        counter.union_entries += d.nnz
 
 
 def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:

@@ -15,10 +15,12 @@ from cflr.solver import (
     VariantFlags,
     forest_difference,
     forest_insert,
-    multiply_with_forest,
     solve,
+    _Bundle,
+    _fold,
 )
-from cflr.sparse import BoolMat, difference, spgemm, union
+from cflr.semiring import PLAIN
+from cflr.sparse import COL, ROW, BoolMat, convert, difference, union
 from _support import random_boolmat, random_instance, triple_names
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
@@ -120,25 +122,34 @@ class TestForest:
             d = random_boolmat(rng, 10, 10, 0.3)
             assert forest_difference(d, f) == difference(d, acc)
 
-    def test_multiply_with_forest(self):
-        rng = random.Random(7)
-        d = random_boolmat(rng, 9, 9, 0.25)
-        empty = MatrixForest(b=10)
-        assert multiply_with_forest(d, empty, "delta-left").nnz == 0
-        f = MatrixForest(b=10)
-        single = random_boolmat(rng, 9, 9, 0.3)
-        forest_insert(f, single)
-        assert multiply_with_forest(d, f, "delta-left") == spgemm(d, single)
-        acc = single
-        for _ in range(3):
-            m = random_boolmat(rng, 9, 9, 0.2)
-            forest_insert(f, m)
-            acc = union(acc, m)
-        for dual in (False, True):
-            got_l = multiply_with_forest(d, f, "delta-left", dual_format=dual)
-            got_r = multiply_with_forest(d, f, "delta-right", dual_format=dual)
-            assert got_l == spgemm(d, acc)
-            assert got_r == spgemm(acc, d)
+    def test_fresh_bundle_is_copied_before_a_merge_into_it(self):
+        """A fresh delta's bundle that becomes the larger side of a b=2
+        merge keeps its matrices: the fold goes into a copy of it."""
+
+        def fresh(entries):
+            m = BoolMat.from_entries(6, 6, entries)
+            return _Bundle({(PLAIN, lay): convert(m, lay) for lay in (ROW, COL)}, owned=False)
+
+        def snapshot(bundle):
+            return {key: m.copy().lines for key, m in bundle.copies.items()}
+
+        f = MatrixForest(b=2, combine=_fold)
+        inserted = [fresh([(0, 0)]), fresh([(1, 2), (4, 1)]), fresh([(0, 3), (5, 0), (5, 5)])]
+        before = [snapshot(bundle) for bundle in inserted]
+        everything = BoolMat.empty(6, 6)
+        pieces = []
+        for bundle in inserted:
+            f.insert(bundle)
+            everything = union(everything, bundle.copies[(PLAIN, ROW)])
+            assert [snapshot(b) for b in inserted] == before
+            pieces.append(f.payloads())
+        assert pieces[0] == inserted[:1]  # no merge yet: the piece is the delta's
+        # 1 + 2 entries, then 3 + 3: each fold goes into a copy of the fresh bundle
+        for got, fresh_bundle in zip(pieces[1:], inserted[1:]):
+            assert len(got) == 1 and got[0].owned and got[0] is not fresh_bundle
+        assert f.sizes() == [6]
+        for (_, lay), m in f.payloads()[0].copies.items():
+            assert m == everything and m.layout == lay and m.nnz == 6
 
 
 class TestSolve:
@@ -197,6 +208,23 @@ class TestSolve:
         r = solve(graph, g, VariantFlags.named("ma1"), iteration_hook=hook)
         assert sizes == sorted(sizes)
         assert r.iterations <= bound + 1
+
+    @pytest.mark.parametrize("variant", ["ma1", "ma1234"])
+    def test_hook_views_stay_snapshots(self, variant):
+        """The stores change in place after the hook returns; the views it
+        was handed must not."""
+        g = ensure_wcnf(preset("dyck"))
+        graph = chain_graph(12)
+        kept = []
+
+        def hook(it, m_old, delta, m):
+            kept.append((m_old, m_old.to_triples(), m, m.to_triples()))
+
+        solve(graph, g, VariantFlags.named(variant, b=2), iteration_hook=hook)
+        assert len(kept) > 2 and kept[-1][1]
+        for m_old, old_triples, m, triples in kept:
+            assert m_old.to_triples() == old_triples
+            assert m.to_triples() == triples
 
     def test_delta_identity_per_iteration(self):
         rng = random.Random(13)

@@ -19,6 +19,7 @@ from cflr.sparse import (
     difference,
     horizontal_to_vertical,
     masked,
+    merge_into,
     spgemm,
     union,
     vertical_to_horizontal,
@@ -98,6 +99,33 @@ class TestSpgemm:
         c = OpCounter()
         spgemm(a, b, ROW_BY_ROW, c)
         assert c.spgemm_calls == 1 and c.scalar_ops == 3
+
+
+    def test_empty_operand_skips_the_driver(self):
+        class Unwalkable(dict):
+            def items(self):
+                raise AssertionError("the driving operand was walked")
+
+            __iter__ = values = items
+
+        for orientation, lay in ((ROW_BY_ROW, ROW), (COL_BY_COL, COL)):
+            full = BoolMat.from_entries(4, 4, [(0, 1), (2, 3), (3, 0)], layout=lay)
+            full.lines = Unwalkable(full.lines)
+            empty = BoolMat.empty(4, 4, lay)
+            # the driver is the left operand row-by-row, the right one column-by-column
+            a, b = (full, empty) if orientation == ROW_BY_ROW else (empty, full)
+            c = OpCounter()
+            got = spgemm(a, b, orientation, c)
+            assert got.nnz == 0 and got.layout == lay and not got.lines
+            assert (c.spgemm_calls, c.scalar_ops) == (1, 0)
+            acc = Accumulator(4, 4, lay)
+            assert spgemm(a, b, orientation, c, into=acc) is None
+            assert not acc.lines and c.spgemm_calls == 2
+            with pytest.raises(ValueError):
+                spgemm(full, BoolMat.empty(3, 4, lay), orientation, c)
+            with pytest.raises(ValueError):
+                spgemm(a, b, orientation, c, into=Accumulator(4, 5, lay))
+            assert c.spgemm_calls == 2  # a call that raised is not counted
 
 
 class TestUnionDifference:
@@ -284,6 +312,47 @@ class TestGatherAndMask:
             Accumulator(2, 6, COL).add(BoolMat.empty(6, 2))
         with pytest.raises(ValueError):
             masked(acc, [BoolMat.empty(2, 6, COL)])
+
+
+class TestMergeInto:
+    """The in-place merge of a disjoint delta equals union(M, D)."""
+
+    @pytest.mark.parametrize("layout", [ROW, COL])
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_union_and_shares_nothing(self, layout, rows, cols, rng):
+        m = random_boolmat(rng, rows, cols, rng.random() * 0.6, layout)
+        d = difference(random_boolmat(rng, rows, cols, rng.random() * 0.6, layout), m)
+        want = union(m, d)
+        d_lines = {k: list(v) for k, v in d.lines.items()}
+        c = OpCounter()
+        assert merge_into(d, m, c) is None
+        assert m == want and m.layout == layout
+        assert list(m.lines) == sorted(m.lines)
+        assert all(line == sorted(set(line)) for line in m.lines.values())
+        assert m.nnz == want.nnz == sum(map(len, m.lines.values()))
+        assert c.union_entries == d.nnz
+        assert d.lines == d_lines  # d is not changed
+        for line in m.lines.values():
+            line.append(cols + rows)
+        assert d.lines == d_lines  # and shares no list with m
+
+    def test_new_lines_keep_keys_ascending(self):
+        m = BoolMat.from_entries(6, 6, [(2, 0), (4, 1)])
+        merge_into(BoolMat.from_entries(6, 6, [(0, 3), (3, 3), (4, 0), (5, 5)]), m)
+        assert list(m.lines.items()) == [(0, [3]), (2, [0]), (3, [3]), (4, [0, 1]), (5, [5])]
+        merge_into(BoolMat.empty(6, 6), m)
+        assert m.nnz == 6
+
+    def test_shape_and_layout_errors(self):
+        with pytest.raises(ValueError):
+            merge_into(BoolMat.empty(2, 3), BoolMat.empty(3, 2))
+        with pytest.raises(ValueError):
+            merge_into(BoolMat.empty(2, 2, COL), BoolMat.empty(2, 2))
 
 
 class TestConvert:
