@@ -479,6 +479,17 @@ def solve(
                 for s, m in init_canonical.items()
                 if m.nnz
             }
+            # one empty operand per key for symbols without a delta: only read
+            empties: dict[_StoreKey, BoolMat] = {}
+
+            def delta_side(sym: Symbol, repr_: str, layout: str) -> BoolMat:
+                dv = deltas.get(sym)
+                if dv is not None:
+                    return dv.copy(repr_, layout)
+                if (repr_, layout) not in empties:
+                    empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
+                return empties[repr_, layout]
+
             while deltas:
                 check_deadline()
                 iterations += 1
@@ -502,12 +513,6 @@ def solve(
                         delta_view_nm,
                         m_old_nm.union(delta_view_nm),
                     )
-
-                def delta_side(sym: Symbol, repr_: str, layout: str) -> BoolMat:
-                    dv = deltas.get(sym)
-                    if dv is None:
-                        return BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
-                    return dv.copy(repr_, layout)
 
                 accs = new_accumulators()
                 # products against the pre-insertion snapshot, delta on the right

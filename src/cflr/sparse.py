@@ -61,11 +61,13 @@ class BoolMat:
     """Sparse Boolean matrix, immutable by convention.
 
     ``lines`` maps a row index (row-major) or column index (column-major) to
-    a sorted list of the true positions on that line, in ascending key
-    order.  All operations return fresh matrices and never mutate their
-    inputs, except :func:`merge_into`, which updates the matrix it merges
-    into in place.  Only the solver's stores are passed to it, so a matrix
-    a caller built or received is never changed.
+    a sorted duplicate-free list of the true positions on that line; keys
+    come in no particular order.  A matrix owns the dict it is built from
+    (no copy is made).  All operations return fresh matrices with dicts of
+    their own and never mutate their inputs, except :func:`merge_into`,
+    which updates the matrix it merges into in place.  Only the solver's
+    stores are passed to it, so a matrix a caller built or received is
+    never changed.
     """
 
     __slots__ = ("rows", "cols", "layout", "lines", "nnz")
@@ -76,10 +78,8 @@ class BoolMat:
         self.rows = rows
         self.cols = cols
         self.layout = layout
-        # Normalize to sorted line keys so iteration order never depends on
-        # how the dict was assembled.
-        self.lines = {k: lines[k] for k in sorted(lines)} if lines else {}
-        self.nnz = sum(len(v) for v in self.lines.values())
+        self.lines = lines
+        self.nnz = sum(map(len, lines.values()))
 
     # -- construction -------------------------------------------------
 
@@ -121,7 +121,7 @@ class BoolMat:
         return at < len(lst) and lst[at] == pos
 
     def entries(self) -> Iterator[tuple[int, int]]:
-        """Yield (row, col) pairs in line order."""
+        """Yield (row, col) pairs line by line, lines in any order."""
         if self.layout == ROW:
             for i, lst in self.lines.items():
                 for j in lst:
@@ -372,9 +372,10 @@ def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None
     """Add every entry of ``d`` to ``m`` in place.  ``d`` must be disjoint
     from ``m`` and share its shape and layout.  A line new to ``m`` gets a
     copy of d's line; an existing line is replaced by the two lines
-    concatenated and sorted (timsort merges the two sorted runs).  ``d`` is
-    not changed and shares no list with ``m`` afterwards, and m's line keys
-    stay ascending.  The entries of ``d`` count as ``union_entries``."""
+    concatenated and sorted (timsort merges the two sorted runs), so the
+    cost is that of d's lines, whatever the size of ``m``.  ``d`` is not
+    changed and shares no list with ``m`` afterwards.  The entries of ``d``
+    count as ``union_entries``."""
     if m.shape() != d.shape():
         raise ValueError(f"shape mismatch: {m.shape()} vs {d.shape()}")
     if m.layout != d.layout:
@@ -383,25 +384,16 @@ def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None
         return
     lines = m.lines
     get = lines.get
-    last = next(reversed(lines), -1)
-    out_of_order = False
     for k, dline in d.lines.items():
         line = get(k)
         if line is None:
-            # d's keys ascend, so only a key below m's old last key breaks
-            # the order
             lines[k] = list(dline)
-            out_of_order = out_of_order or k < last
         else:
             # a new list of exactly the merged size: an extended list would
             # keep its growth slack for the rest of the solve
             line = line + dline
             line.sort()
             lines[k] = line
-    if out_of_order:
-        items = sorted(lines.items())
-        lines.clear()
-        lines.update(items)
     m.nnz += d.nnz
     if counter is not None:
         counter.union_entries += d.nnz
@@ -456,11 +448,11 @@ def convert(a: BoolMat, layout: str) -> BoolMat:
     if a.layout == layout:
         return a
     buckets: dict[int, list[int]] = {}
-    for k, line in a.lines.items():
-        for pos in line:
+    # source lines are walked in ascending key order, so every bucket
+    # comes out sorted
+    for k in sorted(a.lines):
+        for pos in a.lines[k]:
             buckets.setdefault(pos, []).append(k)
-    # source lines are iterated in sorted-key order, so bucket contents
-    # arrive already sorted
     return BoolMat(a.rows, a.cols, layout, buckets)
 
 

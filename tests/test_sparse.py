@@ -27,6 +27,15 @@ from cflr.sparse import (
 from _support import from_dense, random_boolmat, to_dense
 
 
+def shuffled(m, rng):
+    """A twin of ``m`` whose line keys were inserted in shuffled order."""
+    keys = list(m.lines)
+    rng.shuffle(keys)
+    if len(keys) > 1 and keys == sorted(keys):
+        keys.reverse()
+    return BoolMat(m.rows, m.cols, m.layout, {k: list(m.lines[k]) for k in keys})
+
+
 def entry_lists(rows, cols):
     return st.lists(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
@@ -194,8 +203,10 @@ def _union_minus(products, to_target, pieces, rows, cols, layout):
     return want
 
 
-def _assert_masked_result(got, want, layout):
-    assert got == want and got.layout == layout
+def _assert_same(got, want):
+    """Equal and in the same layout (so the same lines), with every line
+    non-empty, sorted and duplicate-free."""
+    assert got == want and got.layout == want.layout
     assert all(line and line == sorted(set(line)) for line in got.lines.values())
 
 
@@ -238,7 +249,7 @@ class TestGatherAndMask:
             n,
             target,
         )
-        _assert_masked_result(got, want, target)
+        _assert_same(got, want)
         assert not acc.lines  # masking empties the accumulator
 
     @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
@@ -280,7 +291,7 @@ class TestGatherAndMask:
             k * n,
             ROW,
         )
-        _assert_masked_result(got, want, ROW)
+        _assert_same(got, want)
 
     def test_empty_pieces_and_products(self):
         acc = Accumulator(4, 4)
@@ -325,14 +336,15 @@ class TestMergeInto:
     )
     @settings(max_examples=80, deadline=None)
     def test_equals_union_and_shares_nothing(self, layout, rows, cols, rng):
-        m = random_boolmat(rng, rows, cols, rng.random() * 0.6, layout)
-        d = difference(random_boolmat(rng, rows, cols, rng.random() * 0.6, layout), m)
+        m = shuffled(random_boolmat(rng, rows, cols, rng.random() * 0.6, layout), rng)
+        d = shuffled(
+            difference(random_boolmat(rng, rows, cols, rng.random() * 0.6, layout), m), rng
+        )
         want = union(m, d)
         d_lines = {k: list(v) for k, v in d.lines.items()}
         c = OpCounter()
         assert merge_into(d, m, c) is None
         assert m == want and m.layout == layout
-        assert list(m.lines) == sorted(m.lines)
         assert all(line == sorted(set(line)) for line in m.lines.values())
         assert m.nnz == want.nnz == sum(map(len, m.lines.values()))
         assert c.union_entries == d.nnz
@@ -341,10 +353,18 @@ class TestMergeInto:
             line.append(cols + rows)
         assert d.lines == d_lines  # and shares no list with m
 
-    def test_new_lines_keep_keys_ascending(self):
+    def test_touches_only_the_delta_keys(self):
+        class Unlistable(dict):
+            def items(self, *args):
+                raise AssertionError("merge_into walked or rebuilt all of M's lines")
+
+            keys = values = __iter__ = clear = update = items
+
         m = BoolMat.from_entries(6, 6, [(2, 0), (4, 1)])
+        m.lines = Unlistable(m.lines)
+        # new lines on both sides of M's keys, and one line M already has
         merge_into(BoolMat.from_entries(6, 6, [(0, 3), (3, 3), (4, 0), (5, 5)]), m)
-        assert list(m.lines.items()) == [(0, [3]), (2, [0]), (3, [3]), (4, [0, 1]), (5, [5])]
+        assert dict(dict.items(m.lines)) == {0: [3], 2: [0], 3: [3], 4: [0, 1], 5: [5]}
         merge_into(BoolMat.empty(6, 6), m)
         assert m.nnz == 6
 
@@ -453,3 +473,85 @@ class TestDebugSerialization:
         m = BoolMat.from_entries(4, 4, [(3, 0), (0, 2), (0, 1)])
         assert m.coordinate_text() == "0 1\n0 2\n3 0"
         assert convert(m, COL).coordinate_text() == "0 1\n0 2\n3 0"
+
+
+class TestUnorderedKeys:
+    """Line keys may come in any order: a matrix whose keys were inserted
+    in shuffled order gives every kernel the results of its sorted twin."""
+
+    @pytest.mark.parametrize("layout", [ROW, COL])
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_twin_gives_the_same_results(self, layout, n, k, rng):
+        other = COL if layout == ROW else ROW
+
+        def twins(rows, cols, lay=layout):
+            m = random_boolmat(rng, rows, cols, rng.random() * 0.6, lay)
+            return m, shuffled(m, rng)
+
+        (a, sa), (b, sb), (bo, sbo) = twins(n, n), twins(n, n), twins(n, n, other)
+        _assert_same(convert(sa, other), convert(a, other))
+        _assert_same(union(sa, sb), union(a, b))
+        _assert_same(difference(sa, sb), difference(a, b))
+        _assert_same(difference(sa, sbo), difference(a, bo))
+        for orientation, lay in ((ROW_BY_ROW, ROW), (COL_BY_COL, COL)):
+            x, sx = (a, sa) if lay == layout else (convert(a, lay), convert(sa, lay))
+            y, sy = (b, sb) if lay == layout else (convert(b, lay), convert(sb, lay))
+            _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
+            _assert_same(spgemm(sy, sx, orientation), spgemm(y, x, orientation))
+        got = []
+        for x, y in ((sa, sb), (a, b)):
+            acc = Accumulator(n, n, layout)
+            acc.add(x)
+            acc.add(y)
+            got.append(masked(acc, [y]))
+        _assert_same(*got)
+        (h, sh), (v, sv) = twins(n, k * n), twins(k * n, n)
+        for slot in range(k):
+            for side in ("horizontal", "vertical"):
+                _assert_same(block_offset(sa, slot, k, side), block_offset(a, slot, k, side))
+        _assert_same(block_collapse(sh, n, k), block_collapse(h, n, k))
+        _assert_same(horizontal_to_vertical(sh, n, k), horizontal_to_vertical(h, n, k))
+        _assert_same(block_diagonalize(sv, n, k), block_diagonalize(v, n, k))
+        _assert_same(vertical_to_horizontal(sv, n, k), vertical_to_horizontal(v, n, k))
+        assert sorted(sa.entries()) == sorted(a.entries())
+        assert sa == a and a == sa and sa == convert(a, other) and convert(sa, other) == a
+
+    def test_every_result_owns_its_dict(self):
+        n, k = 4, 2
+        a = BoolMat.from_entries(n, n, [(0, 1), (2, 3), (3, 3)])
+        b = BoolMat.from_entries(n, n, [(1, 2), (3, 0)])
+        e = BoolMat.empty(n, n)
+        ac, bc = convert(a, COL), convert(b, COL)
+        h = block_offset(a, 1, k, "horizontal")
+        v = horizontal_to_vertical(h, n, k)
+        acc = Accumulator(n, n)
+        acc.add(a)
+        results = [
+            ((a, b), spgemm(a, b)),
+            ((ac, bc), spgemm(ac, bc, COL_BY_COL)),
+            ((a, e), spgemm(a, e)),
+            ((acc, b), masked(acc, [b])),
+            ((a, b), union(a, b)),
+            ((a, e), union(a, e)),
+            ((e, a), union(e, a)),
+            ((a, b), difference(a, b)),
+            ((a, bc), difference(a, bc)),
+            ((a, e), difference(a, e)),
+            ((e, a), difference(e, a)),
+            ((a,), convert(a, COL)),
+            ((ac,), convert(ac, ROW)),
+            ((a,), block_offset(a, 0, k, "vertical")),
+            ((h,), block_collapse(h, n, k)),
+            ((h,), horizontal_to_vertical(h, n, k)),
+            ((v,), block_diagonalize(v, n, k)),
+            ((v,), vertical_to_horizontal(v, n, k)),
+            ((a,), a.copy()),
+        ]
+        for inputs, r in results:
+            assert all(r.lines is not x.lines for x in inputs), (inputs, r)
+        assert convert(a, ROW) is a  # the documented exception
