@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 # smallest accepted value of each numeric flag; a flag a command lacks is
 # skipped
-_MINIMUMS = {"b": 2, "threads": 1, "reps": 1, "timeout_secs": 0, "oracle_limit": 0}
+_MINIMUMS = {"b": 2, "reps": 1, "timeout_secs": 0, "oracle_limit": 0}
 
 
 def _bad_number(args) -> str | None:
@@ -156,7 +156,6 @@ def _report_record(
     grammar_id: str,
     graph_id: str,
     flags: VariantFlags,
-    threads: int,
     result,
     wall_seconds: float,
     extra: list[str] | None = None,
@@ -167,7 +166,6 @@ def _report_record(
         f"grammar={grammar_id}",
         f"graph={graph_id}",
         f"b={flags.b}",
-        f"threads={threads}",
         f"iterations={result.iterations}",
         f"wall_seconds={wall_seconds:.6f}",
         f"peak_mem_bytes={_peak_memory_bytes()}",
@@ -207,7 +205,7 @@ def _cmd_solve(args) -> int:
     if args.timeout_secs is not None:
         deadline = time.monotonic() + args.timeout_secs
     t0 = time.perf_counter()
-    result = solve(graph, g, flags, threads=args.threads, deadline=deadline)
+    result = solve(graph, g, flags, deadline=deadline)
     wall = time.perf_counter() - t0
 
     target = args.nonterminal or g.start.name()
@@ -221,9 +219,7 @@ def _cmd_solve(args) -> int:
             + (", ".join(known) if known else "(none)")
         )
     _write(args.output, _format_pairs(graph, pairs), sys.stdout)
-    report = _report_record(
-        args.variant, grammar_id, graph_id, flags, args.threads, result, wall
-    )
+    report = _report_record(args.variant, grammar_id, graph_id, flags, result, wall)
     _write(args.report, report, sys.stderr)
     return EXIT_OK
 
@@ -233,7 +229,6 @@ def run_check(
     g: WcnfGrammar,
     variants: list[str],
     b: int = 10,
-    threads: int = 1,
     solve_fn=solve,
     out=sys.stdout,
 ) -> int:
@@ -242,7 +237,7 @@ def run_check(
     reference = oracle_solve(graph, g)
     for variant in variants:
         flags = VariantFlags.named(variant, b=b)
-        got = solve_fn(graph, g, flags, threads=threads).triples()
+        got = solve_fn(graph, g, flags).triples()
         if got == reference:
             continue
         disagreements = sorted(
@@ -273,7 +268,7 @@ def _cmd_check(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         VariantFlags.named(v, b=args.b)  # reject unknown names before work
-    return run_check(graph, g, variants, b=args.b, threads=args.threads)
+    return run_check(graph, g, variants, b=args.b)
 
 
 def _cmd_bench(args) -> int:
@@ -293,7 +288,7 @@ def _cmd_bench(args) -> int:
             deadline = time.monotonic() + args.timeout_secs
             t0 = time.perf_counter()
             try:
-                result = solve(graph, g, flags, threads=args.threads, deadline=deadline)
+                result = solve(graph, g, flags, deadline=deadline)
             except SolveTimeout:
                 status = "oot"
                 timed_out = True
@@ -314,9 +309,7 @@ def _cmd_bench(args) -> int:
             f"std_seconds={std}",
         ]
         records.append(
-            _report_record(
-                variant, grammar_id, graph_id, flags, args.threads, result, mean, extra
-            )
+            _report_record(variant, grammar_id, graph_id, flags, result, mean, extra)
         )
     _write(args.report, "\n".join(records), sys.stdout)
     return EXIT_TIMEOUT if timed_out else EXIT_OK
@@ -333,7 +326,6 @@ def _add_common(p: argparse.ArgumentParser, with_variant: bool) -> None:
     if with_variant:
         p.add_argument("--variant", default="ma1234", choices=VARIANT_NAMES)
     p.add_argument("--b", type=int, default=10, help="forest growth factor (default 10)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--index-separator", default="_")
 
 

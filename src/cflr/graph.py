@@ -25,9 +25,6 @@ class LabeledGraph:
     index_universe: tuple[str, ...]
     label_index: dict[Symbol, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
-    def slot_of(self) -> dict[str, int]:
-        return {tag: at for at, tag in enumerate(self.index_universe)}
-
 
 def _assemble(
     names: list[str], edges: list[tuple[int, Symbol, int]], universe: list[str]

@@ -1,6 +1,15 @@
-"""Fixpoint engines: the baseline squaring loop and the delta loop with its
-optional refinements (dual row/column-major copies, lazy union via matrix
-forests, block execution of indexed rule families).
+"""The matrix-based fixpoint and its optional refinements (delta
+propagation, dual row/column-major copies, lazy union via matrix forests,
+block execution of indexed rule families).
+
+Every variant runs one loop.  Each iteration starts from a delta, the
+entries found by the previous iteration (the seeds at first), gathers
+products into one accumulator per result symbol, inserts the delta into
+the stored matrices M and masks the accumulators with M; what survives is
+the next delta, and the loop ends when none does.  With ``delta`` the
+products are M_old * delta (before the insert), delta * M_new and the unit
+rules on the delta; the baseline multiplies M * M and applies the unit
+rules to all of M.
 
 All variants compute the same relation: entry (i, j) in symbol x's matrix
 iff some i -> j path spells a word derivable from x.
@@ -9,7 +18,6 @@ iff some i -> j path spells a word derivable from x.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import sparse
@@ -296,7 +304,6 @@ def solve(
     g: WcnfGrammar,
     flags: VariantFlags = VariantFlags(),
     *,
-    threads: int = 1,
     deadline: float | None = None,
     iteration_hook=None,
 ) -> SolveResult:
@@ -305,10 +312,12 @@ def solve(
     ``g`` must already be in the accepted normal form.  Without
     ``flags.indexed_blocks`` an indexed grammar is first expanded against
     the graph's index universe.  ``iteration_hook(iteration, m_old, delta,
-    m)`` is called at the top of every delta-loop iteration with
-    materialized views.  ``deadline`` is a ``time.monotonic()`` instant
-    after which :class:`SolveTimeout` is raised: it is checked at the top of
-    every iteration, before every product task and before the mask step.
+    m)`` is called at the top of every iteration of every variant with
+    materialized snapshots: ``delta`` is disjoint from ``m_old`` and ``m``
+    is their union.  ``deadline`` is a ``time.monotonic()`` instant after
+    which :class:`SolveTimeout` is raised: it is checked at the top of
+    every iteration, before each result symbol's products and before the
+    mask step.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
@@ -363,76 +372,49 @@ def solve(
     capacity = sum(r * c for r, c in (matrix_dims(canonical[s][0], n, k) for s in syms))
     max_iterations = capacity + 2
 
-    # one accumulator per result symbol per iteration, in its canonical key;
-    # each is filled by a single task, so no two pool threads share one
     steps_by_result: dict[Symbol, list[BinStep]] = {}
     for st in plan.bin_steps:
         steps_by_result.setdefault(st.result[0], []).append(st)
     results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     result_syms = [s for s in syms if s in results]
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
-    def new_accumulators() -> dict[Symbol, Accumulator]:
-        return {
-            s: Accumulator(*matrix_dims(canonical[s][0], n, k), layout=canonical[s][1])
-            for s in result_syms
-        }
+    # every variant, the baseline too, starts from the seeds as its delta
+    deltas: dict[Symbol, _DeltaView] = {
+        s: _DeltaView(m, canonical[s], n, k) for s, m in init_canonical.items() if m.nnz
+    }
+    # one empty operand per key for symbols without a delta: only read
+    empties: dict[_StoreKey, BoolMat] = {}
 
-    def product_task(acc: Accumulator, jobs, orientation: str):
-        """Every product of one result symbol's steps, added to its
-        accumulator; ``jobs`` holds (step, left operands, right operands)."""
+    def stored(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
+        return stores[sym].pieces((repr_, layout))
 
-        def run():
+    def delta_side(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
+        dv = deltas.get(sym)
+        if dv is not None:
+            return [dv.copy(repr_, layout)]
+        if (repr_, layout) not in empties:
+            empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
+        return [empties[repr_, layout]]
+
+    def gather(accs, lefts, rights, layout: str, orientation: str) -> None:
+        """Multiply every binary step's operands, ``lefts``/``rights`` of
+        (symbol, repr, layout), into its result symbol's accumulator."""
+        for sym, steps in steps_by_result.items():
             check_deadline()
-            local = OpCounter()
-            for step, lefts, rights in jobs:
-                rights = [_apply_transform(rm, step.right_transform, n, k) for rm in rights]
-                for lm in lefts:
-                    la = _apply_transform(lm, step.left_transform, n, k)
-                    for ra in rights:
-                        sparse.spgemm(la, ra, orientation, local, into=acc)
-            return local
-
-        return run
-
-    def gather(accs, operands, orientation: str) -> None:
-        """Multiply every binary step's operands (``operands(step)`` gives
-        the left and right lists) into the accumulators."""
-        tasks = [
-            product_task(accs[sym], [(st, *operands(st)) for st in steps], orientation)
-            for sym, steps in steps_by_result.items()
-        ]
-        if executor is None:
-            counts = [task() for task in tasks]
-        else:
-            counts = list(executor.map(lambda task: task(), tasks))
-        for local in counts:
-            counter.add(local)
-
-    def gather_units(accs, source) -> None:
-        """Add every unit step's source matrix (``source(key)``)."""
-        for ust in plan.unit_steps:
-            piece = source(ust.source)
-            if ust.collapse:
-                piece = sparse.block_collapse(piece, n, k)
-            accs[ust.result[0]].add(piece)
-
-    def mask(accs) -> dict[Symbol, BoolMat]:
-        """What each accumulator holds beyond its symbol's stored matrix,
-        for the symbols that gained entries."""
-        check_deadline()
-        out = {}
-        for s, acc in accs.items():
-            if acc.lines:
-                fresh = sparse.masked(acc, stores[s].pieces(canonical[s]), counter)
-                if fresh.nnz:
-                    out[s] = fresh
-        return out
+            acc = accs[sym]
+            for st in steps:
+                ras = [
+                    _apply_transform(rm, st.right_transform, n, k)
+                    for rm in rights(*st.right, layout)
+                ]
+                for lm in lefts(*st.left, layout):
+                    la = _apply_transform(lm, st.left_transform, n, k)
+                    for ra in ras:
+                        sparse.spgemm(la, ra, orientation, counter, into=acc)
 
     def materialized_view(snapshot: bool = False) -> NontermMatrix:
         """Every symbol's matrix, row-major.  These may share lines with
@@ -445,106 +427,52 @@ def solve(
             mats[(s, crepr)] = m.copy() if snapshot else m
         return NontermMatrix(n, universe, mats)
 
+    # the delta variants multiply by the delta, the baseline by all of M
+    new_side = delta_side if flags.delta else stored
     iterations = 0
-    try:
-        if not flags.delta:
-            # baseline: square and fold until no product entry is new
-            for s in syms:
-                im = init_canonical.get(s)
-                if im is not None and im.nnz:
-                    stores[s].insert(_DeltaView(im, canonical[s], n, k), counter)
-            while True:
-                check_deadline()
-                iterations += 1
-                if iterations > max_iterations:
-                    raise RuntimeError("fixpoint failed to converge (bug)")
-                accs = new_accumulators()
-                gather(
-                    accs,
-                    lambda st: (
-                        stores[st.left[0]].pieces((st.left[1], ROW)),
-                        stores[st.right[0]].pieces((st.right[1], ROW)),
-                    ),
-                    sparse.ROW_BY_ROW,
-                )
-                gather_units(accs, lambda key: stores[key[0]].pieces((key[1], ROW))[0])
-                fresh = mask(accs)
-                if not fresh:
-                    break
-                for s, m in fresh.items():
-                    stores[s].insert(_DeltaView(m, canonical[s], n, k), counter)
-        else:
-            deltas: dict[Symbol, _DeltaView] = {
-                s: _DeltaView(m, canonical[s], n, k)
-                for s, m in init_canonical.items()
-                if m.nnz
-            }
-            # one empty operand per key for symbols without a delta: only read
-            empties: dict[_StoreKey, BoolMat] = {}
+    while deltas:
+        check_deadline()
+        iterations += 1
+        if iterations > max_iterations:
+            raise RuntimeError("fixpoint failed to converge (bug)")
+        if iteration_hook is not None:
+            delta_nm = NontermMatrix(
+                n,
+                universe,
+                {
+                    (s, dv.key[0]): _derive(dv.mat, dv.key[0], dv.key[0], ROW, n, k)
+                    for s, dv in deltas.items()
+                },
+            )
+            m_old_nm = materialized_view(snapshot=True)
+            iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
-            def delta_side(sym: Symbol, repr_: str, layout: str) -> BoolMat:
-                dv = deltas.get(sym)
-                if dv is not None:
-                    return dv.copy(repr_, layout)
-                if (repr_, layout) not in empties:
-                    empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
-                return empties[repr_, layout]
+        accs = {
+            s: Accumulator(*matrix_dims(canonical[s][0], n, k), layout=canonical[s][1])
+            for s in result_syms
+        }
+        if flags.delta:
+            # M_old * delta, against the stores before the insert
+            orientation = sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW
+            gather(accs, stored, delta_side, left_lay, orientation)
+        for s, dv in deltas.items():
+            stores[s].insert(dv, counter)
+        # delta * M_new (baseline: M * M), then the unit rules
+        gather(accs, new_side, stored, ROW, sparse.ROW_BY_ROW)
+        for ust in plan.unit_steps:
+            for piece in new_side(*ust.source, ROW):
+                if ust.collapse:
+                    piece = sparse.block_collapse(piece, n, k)
+                accs[ust.result[0]].add(piece)
 
-            while deltas:
-                check_deadline()
-                iterations += 1
-                if iterations > max_iterations:
-                    raise RuntimeError("fixpoint failed to converge (bug)")
-                if iteration_hook is not None:
-                    delta_view_nm = NontermMatrix(
-                        n,
-                        universe,
-                        {
-                            (s, canonical[s][0]): _derive(
-                                dv.mat, canonical[s][0], canonical[s][0], ROW, n, k
-                            )
-                            for s, dv in deltas.items()
-                        },
-                    )
-                    m_old_nm = materialized_view(snapshot=True)
-                    iteration_hook(
-                        iterations,
-                        m_old_nm,
-                        delta_view_nm,
-                        m_old_nm.union(delta_view_nm),
-                    )
-
-                accs = new_accumulators()
-                # products against the pre-insertion snapshot, delta on the right
-                gather(
-                    accs,
-                    lambda st: (
-                        stores[st.left[0]].pieces((st.left[1], left_lay)),
-                        [delta_side(st.right[0], st.right[1], left_lay)],
-                    ),
-                    sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW,
-                )
-
-                # on the calling thread: no pool task sees a store change
-                for s, dv in deltas.items():
-                    stores[s].insert(dv, counter)
-
-                # products against the updated matrix, delta on the left
-                gather(
-                    accs,
-                    lambda st: (
-                        [delta_side(st.left[0], st.left[1], ROW)],
-                        stores[st.right[0]].pieces((st.right[1], ROW)),
-                    ),
-                    sparse.ROW_BY_ROW,
-                )
-                gather_units(accs, lambda key: delta_side(key[0], key[1], ROW))
-                deltas = {
-                    s: _DeltaView(m, canonical[s], n, k) for s, m in mask(accs).items()
-                }
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        # what survives the mask of the stored matrix is the next delta
+        check_deadline()
+        deltas = {}
+        for s, acc in accs.items():
+            if acc.lines:
+                fresh = sparse.masked(acc, stored(s, *canonical[s]), counter)
+                if fresh.nnz:
+                    deltas[s] = _DeltaView(fresh, canonical[s], n, k)
 
     return SolveResult(
         matrices=materialized_view(),

@@ -33,21 +33,13 @@ class OpCounter:
     every stored entry a :func:`union` reads, and every entry an
     :class:`Accumulator` received (repeats included), counted when
     :func:`masked` empties it; the tests of the mask itself are not
-    counted.  All are independent of thread scheduling because they are
-    sums of per-operation totals.
+    counted.  Each is a sum of per-operation totals, so it depends only on
+    the operations performed, not on the order they ran in.
     """
 
     spgemm_calls: int = 0
     scalar_ops: int = 0
     union_entries: int = 0
-
-    def add(self, other: "OpCounter") -> None:
-        self.spgemm_calls += other.spgemm_calls
-        self.scalar_ops += other.scalar_ops
-        self.union_entries += other.union_entries
-
-    def copy(self) -> "OpCounter":
-        return OpCounter(self.spgemm_calls, self.scalar_ops, self.union_entries)
 
     def as_dict(self) -> dict[str, int]:
         return {

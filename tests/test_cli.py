@@ -167,42 +167,11 @@ class TestSolveCommand:
         )
         assert rc == EXIT_TIMEOUT
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, dyck_path_graph, dyck_grammar_file):
-        outputs = []
-        reports = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"pairs{threads}.txt"
-            rep = tmp_path / f"rep{threads}.txt"
-            rc = main(
-                [
-                    "solve",
-                    "--graph", str(dyck_path_graph),
-                    "--grammar", str(dyck_grammar_file),
-                    "--variant", "ma1234",
-                    "--threads", threads,
-                    "--output", str(out),
-                    "--report", str(rep),
-                ]
-            )
-            assert rc == EXIT_OK
-            outputs.append(read(out).encode())
-            counters = {
-                k: v
-                for k, v in (
-                    line.split("=", 1) for line in read(rep).strip().splitlines()
-                )
-                if k in ("spgemm_calls", "scalar_ops", "union_entries", "iterations")
-            }
-            reports.append(counters)
-        assert outputs[0] == outputs[1]
-        assert reports[0] == reports[1]
-
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--graph", "chain(4)", "--b", "1"],
-        ["solve", "--graph", "chain(4)", "--threads", "-3"],
         ["bench", "--graph", "chain(4)", "--reps", "0"],
         ["solve", "--graph", "chain(4)", "--timeout-secs", "-1"],
         ["check", "--graph", "chain(4)", "--oracle-limit", "-1"],
@@ -238,8 +207,8 @@ class TestCheckCommand:
         g = ensure_wcnf(preset("dyck"))
         graph = load_graph("0 a 1\n1 a 2\n2 b 3\n3 b 4\n", g)
 
-        def corrupted(graph, g, flags, threads=1):
-            result = solve(graph, g, flags, threads=threads)
+        def corrupted(graph, g, flags):
+            result = solve(graph, g, flags)
             victim = sorted(result.triples(), key=lambda t: (t[0].name(), t[1], t[2]))[0]
 
             class Fake:
