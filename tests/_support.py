@@ -26,15 +26,22 @@ def random_graph_text(
     """Random triple text over the grammar's terminal alphabet; indexed
     terminals get index tags f0..f{k-1} for a random k."""
     n = rng.randint(2, max_vertices)
+    k = rng.randint(1, max_indices)
+    return sized_graph_text(g, rng, n, rng.randint(1, max_edges), k)
+
+
+def sized_graph_text(g: Cfg, rng: random.Random, n: int, m: int, k: int) -> str:
+    """random(n, m, k): m triples between n vertices with labels drawn
+    uniformly over the grammar's terminal alphabet; an indexed terminal
+    gets a uniform tag f0..f{k-1}."""
     alphabet = sorted(
         {
             (s.base, g.index_variable is not None and s.index == g.index_variable)
             for s in g.terminals
         }
     )
-    k = rng.randint(1, max_indices)
     lines = []
-    for _ in range(rng.randint(1, max_edges)):
+    for _ in range(m):
         base, indexed = alphabet[rng.randrange(len(alphabet))]
         label = f"{base}_f{rng.randrange(k)}" if indexed else base
         lines.append(f"{rng.randrange(n)} {label} {rng.randrange(n)}")
