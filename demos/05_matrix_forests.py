@@ -9,8 +9,8 @@ Run from the repository root:  python3 demos/05_matrix_forests.py
 
 import random
 
-from cflr import MatrixForest, OpCounter, forest_difference, forest_insert
-from cflr.sparse import BoolMat, difference, union
+from cflr import MatrixForest, OpCounter, forest_insert
+from cflr.sparse import Accumulator, BoolMat, masked, union
 
 rng = random.Random(0)
 
@@ -47,10 +47,19 @@ print("\nThe eager accumulator re-reads its thousands of entries on every")
 print("insert; the forest merges a delta only with pieces in its own size")
 print("class, so its cumulative union work stays far smaller.")
 
-# the forest still answers exactly like the folded matrix
+# the forest still answers exactly like the folded matrix: a probe masked
+# by the forest's pieces keeps what it keeps when masked by the folded one
 probe = random_delta(n, 500)
-assert forest_difference(probe, forest) == difference(probe, eager)
-print("\nforest difference == difference against the folded matrix")
+
+
+def probe_masked_by(pieces):
+    acc = Accumulator(n, n)
+    acc.add(probe)
+    return masked(acc, pieces)
+
+
+assert probe_masked_by(forest.payloads()) == probe_masked_by([eager])
+print("\nmasking by the forest's pieces == masking by the folded matrix")
 
 # one-entry deltas, as a deep chain produces them: equal sizes merge, so
 # the piece count follows log_b of the entries held

@@ -50,7 +50,6 @@ from .solver import (
     SolveTimeout,
     VariantFlags,
     VARIANT_NAMES,
-    forest_difference,
     forest_insert,
     solve,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "chain_graph",
     "ensure_wcnf",
     "expand_indexed",
-    "forest_difference",
     "forest_insert",
     "grid_graph",
     "initial_matrix",

@@ -17,6 +17,7 @@ iff some i -> j path spells a word derivable from x.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -155,14 +156,6 @@ def forest_insert(
     return forest
 
 
-def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
-    """d minus the forest's logical union, subtracting piece by piece,
-    largest piece first."""
-    for piece in forest.payloads(largest_first=True):
-        d = sparse.difference(d, piece)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # internal storage: per-symbol copies in every (representation, layout) the
 # rule plan consumes
@@ -215,39 +208,56 @@ def _fold(small: _Bundle, large: _Bundle, counter: OpCounter | None) -> _Bundle:
 
 
 class _DeltaView:
-    """A freshly discovered delta with lazily derived copies."""
+    """A freshly discovered delta of a store's symbol, in the store's
+    canonical key, with lazily derived copies, each in the line form the
+    store keeps for that key."""
 
-    __slots__ = ("mat", "key", "n", "k", "_cache")
+    __slots__ = ("mat", "store", "_cache")
 
-    def __init__(self, mat: BoolMat, key: _StoreKey, n: int, k: int):
+    def __init__(self, mat: BoolMat, store: "_Store"):
         self.mat = mat
-        self.key = key
-        self.n = n
-        self.k = k
-        self._cache: dict[_StoreKey, BoolMat] = {key: mat}
+        self.store = store
+        self._cache: dict[_StoreKey, BoolMat] = {store.canonical: mat}
 
     def copy(self, repr_: str, layout: str) -> BoolMat:
         key = (repr_, layout)
         m = self._cache.get(key)
         if m is None:
-            m = _derive(self.mat, self.key[0], repr_, layout, self.n, self.k)
-            self._cache[key] = m
+            st = self.store
+            m = _derive(self.mat, st.canonical[0], repr_, layout, st.n, st.k)
+            m = self._cache[key] = m.in_form(key in st.bit_keys)
         return m
 
     def bundle(self, keys) -> _Bundle:
         return _Bundle({key: self.copy(*key) for key in keys}, owned=False)
 
 
+# what a list line costs, its header and then each slot, as measured by
+# this interpreter
+_LIST_BYTES = sys.getsizeof([])
+_SLOT_BYTES = sys.getsizeof([None]) - _LIST_BYTES
+
+
 class _Store:
     """All stored state for one symbol: a single bundle that each delta is
-    merged into in place, or a forest of bundles under lazy union."""
+    merged into in place, or a forest of bundles under lazy union.
 
-    __slots__ = ("sym", "keys", "canonical", "n", "k", "forest", "bundle")
+    Each copy starts with its lines in list form and switches to bit form
+    for good once its lines would take no more memory as ints than as
+    lists (``bit_keys`` holds the keys that switched).  The accumulator
+    and the deltas of this symbol follow the same choice."""
+
+    __slots__ = (
+        "sym", "keys", "canonical", "crossed", "n", "k", "forest", "bundle", "bit_keys", "int_bytes"
+    )
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
         self.sym = sym
         self.keys = tuple(keys)
         self.canonical = canonical
+        # the canonical copy's twin in the other layout, if kept
+        crossed = (canonical[0], ROW if canonical[1] == COL else COL)
+        self.crossed = crossed if crossed in self.keys else None
         self.n = n
         self.k = k
         if lazy:
@@ -258,6 +268,13 @@ class _Store:
             self.bundle = _Bundle(
                 {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
             )
+        self.bit_keys: set[_StoreKey] = set()
+        # the size of one line as an int, as wide as the line
+        self.int_bytes: dict[_StoreKey, int] = {}
+        for repr_, layout in self.keys:
+            rows, cols = matrix_dims(repr_, n, k)
+            width = cols if layout == ROW else rows
+            self.int_bytes[repr_, layout] = sys.getsizeof((1 << width) - 1)
 
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
         if self.forest is None:
@@ -270,6 +287,34 @@ class _Store:
             self.bundle.merge(db, counter)
         else:
             self.forest.insert(db, counter)
+        bundles = [self.bundle] if self.forest is None else self.forest.elements
+        for key in self.keys:
+            if key in self.bit_keys:
+                continue
+            # switch once the lines would take no more memory as ints
+            lines = nnz = 0
+            for el in bundles:
+                m = el.copies[key]
+                lines += len(m.lines)
+                nnz += m.nnz
+            if lines * self.int_bytes[key] <= lines * _LIST_BYTES + nnz * _SLOT_BYTES:
+                self.bit_keys.add(key)
+                for el in bundles:
+                    el.copies[key] = el.copies[key].in_form(True)
+
+    def accumulator(self) -> Accumulator:
+        """A fresh accumulator in the canonical key's shape, layout and
+        line form."""
+        repr_, layout = self.canonical
+        dims = matrix_dims(repr_, self.n, self.k)
+        return Accumulator(*dims, layout=layout, bits=self.canonical in self.bit_keys)
+
+    def mask(self, acc: Accumulator, counter: OpCounter) -> BoolMat:
+        """What ``acc`` holds beyond the stored matrix.  A bit-form
+        accumulator's lines of the other layout are masked with the copy
+        in that layout, when the store keeps one."""
+        crossed = self.pieces(self.crossed) if acc.bits and self.crossed else ()
+        return sparse.masked(acc, self.pieces(self.canonical), counter, crossed)
 
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
@@ -316,8 +361,7 @@ def solve(
     materialized snapshots: ``delta`` is disjoint from ``m_old`` and ``m``
     is their union.  ``deadline`` is a ``time.monotonic()`` instant after
     which :class:`SolveTimeout` is raised: it is checked at the top of
-    every iteration, before each result symbol's products and before the
-    mask step.
+    every iteration, before each product and before the mask step.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
@@ -384,7 +428,7 @@ def solve(
 
     # every variant, the baseline too, starts from the seeds as its delta
     deltas: dict[Symbol, _DeltaView] = {
-        s: _DeltaView(m, canonical[s], n, k) for s, m in init_canonical.items() if m.nnz
+        s: _DeltaView(m, stores[s]) for s, m in init_canonical.items() if m.nnz
     }
     # one empty operand per key for symbols without a delta: only read
     empties: dict[_StoreKey, BoolMat] = {}
@@ -404,7 +448,6 @@ def solve(
         """Multiply every binary step's operands, ``lefts``/``rights`` of
         (symbol, repr, layout), into its result symbol's accumulator."""
         for sym, steps in steps_by_result.items():
-            check_deadline()
             acc = accs[sym]
             for st in steps:
                 ras = [
@@ -414,6 +457,7 @@ def solve(
                 for lm in lefts(*st.left, layout):
                     la = _apply_transform(lm, st.left_transform, n, k)
                     for ra in ras:
+                        check_deadline()
                         sparse.spgemm(la, ra, orientation, counter, into=acc)
 
     def materialized_view(snapshot: bool = False) -> NontermMatrix:
@@ -440,17 +484,14 @@ def solve(
                 n,
                 universe,
                 {
-                    (s, dv.key[0]): _derive(dv.mat, dv.key[0], dv.key[0], ROW, n, k)
+                    (s, dv.store.canonical[0]): dv.copy(dv.store.canonical[0], ROW)
                     for s, dv in deltas.items()
                 },
             )
             m_old_nm = materialized_view(snapshot=True)
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
-        accs = {
-            s: Accumulator(*matrix_dims(canonical[s][0], n, k), layout=canonical[s][1])
-            for s in result_syms
-        }
+        accs = {s: stores[s].accumulator() for s in result_syms}
         if flags.delta:
             # M_old * delta, against the stores before the insert
             orientation = sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW
@@ -469,10 +510,10 @@ def solve(
         check_deadline()
         deltas = {}
         for s, acc in accs.items():
-            if acc.lines:
-                fresh = sparse.masked(acc, stored(s, *canonical[s]), counter)
+            if acc:
+                fresh = stores[s].mask(acc, counter)
                 if fresh.nnz:
-                    deltas[s] = _DeltaView(fresh, canonical[s], n, k)
+                    deltas[s] = _DeltaView(fresh, stores[s])
 
     return SolveResult(
         matrices=materialized_view(),

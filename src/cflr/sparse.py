@@ -1,19 +1,25 @@
 """Sparse Boolean matrices in row- or column-major layout, plus the kernel
 operations the reachability engine is built from: Boolean matrix product in
-both orientations, element-wise union/difference, layout conversion, the
-block-matrix reshapes used for indexed symbol families, a mutable
-accumulator that gathers many products and is then complement-masked, and
-an in-place merge of a disjoint delta into a stored matrix.
+both orientations, element-wise union, layout conversion, the block-matrix
+reshapes used for indexed symbol families, a mutable accumulator that
+gathers many products and is then complement-masked, and an in-place merge
+of a disjoint delta into a stored matrix.
 
-A matrix stores, per nonempty line (row in row-major, column in column-major),
-a sorted duplicate-free list of positions.  Empty lines are simply absent, so
-storage is proportional to nnz even for very wide block matrices.
+A matrix stores each nonempty line (row in row-major, column in
+column-major) in one of two forms: a sorted duplicate-free list of
+positions, or one ``int`` whose set bits are the positions (bit form).
+Empty lines are simply absent, so list storage is proportional to nnz even
+for very wide block matrices, while a dense line is smaller as an int and
+its products and masks become big-int OR and AND.  Every kernel accepts
+either form in any mix and counts the same work for both.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 ROW = "row"
@@ -28,13 +34,15 @@ class OpCounter:
     """Deterministic work counters: a machine-independent cost signal.
 
     scalar_ops counts every (left-entry, matching right-line-entry) pair a
-    multiplication visits.  union_entries counts every entry
+    multiplication visits: the length, or in bit form the popcount, of the
+    right line each left entry hits.  union_entries counts every entry
     :func:`merge_into` inserts into a stored matrix (once per stored copy),
     every stored entry a :func:`union` reads, and every entry an
-    :class:`Accumulator` received (repeats included), counted when
-    :func:`masked` empties it; the tests of the mask itself are not
+    :class:`Accumulator` received (repeats across puts included), counted
+    when :func:`masked` empties it; the tests of the mask itself are not
     counted.  Each is a sum of per-operation totals, so it depends only on
-    the operations performed, not on the order they ran in.
+    the operations performed, not on the order they ran in or on the form
+    the lines were kept in.
     """
 
     spgemm_calls: int = 0
@@ -49,29 +57,57 @@ class OpCounter:
         }
 
 
+def _positions(x: int) -> list[int]:
+    """The set bits of ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _bitmask(positions: Iterable[int]) -> int:
+    """An int with the given bits set."""
+    x = 0
+    for p in positions:
+        x |= 1 << p
+    return x
+
+
 class BoolMat:
     """Sparse Boolean matrix, immutable by convention.
 
     ``lines`` maps a row index (row-major) or column index (column-major) to
-    a sorted duplicate-free list of the true positions on that line; keys
-    come in no particular order.  A matrix owns the dict it is built from
-    (no copy is made).  All operations return fresh matrices with dicts of
+    the true positions on that line: a sorted duplicate-free list, or with
+    ``bits`` an ``int`` with those bits set.  Only nonempty lines are keys,
+    in no particular order.  A matrix owns the dict it is built from (no
+    copy is made).  All operations return fresh matrices with dicts of
     their own and never mutate their inputs, except :func:`merge_into`,
     which updates the matrix it merges into in place.  Only the solver's
     stores are passed to it, so a matrix a caller built or received is
     never changed.
     """
 
-    __slots__ = ("rows", "cols", "layout", "lines", "nnz")
+    __slots__ = ("rows", "cols", "layout", "lines", "nnz", "bits", "_keys")
 
-    def __init__(self, rows: int, cols: int, layout: str, lines: dict[int, list[int]]):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        layout: str,
+        lines: dict[int, list[int]] | dict[int, int],
+        bits: bool = False,
+    ):
         if layout not in (ROW, COL):
             raise ValueError(f"unknown layout {layout!r}")
         self.rows = rows
         self.cols = cols
         self.layout = layout
         self.lines = lines
-        self.nnz = sum(map(len, lines.values()))
+        self.bits = bits
+        self.nnz = sum(map(int.bit_count if bits else len, lines.values()))
+        self._keys: int | None = None
 
     # -- construction -------------------------------------------------
 
@@ -98,30 +134,48 @@ class BoolMat:
         return cls(n, n, layout, {i: [i] for i in range(n)})
 
     def copy(self) -> "BoolMat":
-        """An independent copy: no line list is shared."""
+        """An independent copy in the same form: no line list is shared."""
+        if self.bits:
+            return BoolMat(self.rows, self.cols, self.layout, dict(self.lines), True)
         lines = {k: list(v) for k, v in self.lines.items()}
         return BoolMat(self.rows, self.cols, self.layout, lines)
 
+    def in_form(self, bits: bool) -> "BoolMat":
+        """The same matrix with its lines in bit form or in list form: this
+        matrix itself if it is in that form already."""
+        if bits == self.bits:
+            return self
+        lines = _bit_lines(self) if bits else _list_lines(self)
+        return BoolMat(self.rows, self.cols, self.layout, lines, bits)
+
     # -- queries ------------------------------------------------------
+
+    def key_mask(self) -> int:
+        """An int with bit k set for every line key k.  It is kept with the
+        matrix, and :func:`merge_into` brings it up to date."""
+        if self._keys is None:
+            self._keys = _bitmask(self.lines)
+        return self._keys
 
     def get(self, i: int, j: int) -> bool:
         line, pos = (i, j) if self.layout == ROW else (j, i)
         lst = self.lines.get(line)
         if not lst:
             return False
+        if self.bits:
+            return bool(lst >> pos & 1)
         at = bisect_left(lst, pos)
         return at < len(lst) and lst[at] == pos
 
     def entries(self) -> Iterator[tuple[int, int]]:
         """Yield (row, col) pairs line by line, lines in any order."""
-        if self.layout == ROW:
-            for i, lst in self.lines.items():
+        for k, lst in _list_lines(self).items():
+            if self.layout == ROW:
                 for j in lst:
-                    yield (i, j)
-        else:
-            for j, lst in self.lines.items():
+                    yield (k, j)
+            else:
                 for i in lst:
-                    yield (i, j)
+                    yield (i, k)
 
     def entry_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries())
@@ -139,7 +193,7 @@ class BoolMat:
             return NotImplemented
         if self.shape() != other.shape() or self.nnz != other.nnz:
             return False
-        if self.layout == other.layout:
+        if (self.layout, self.bits) == (other.layout, other.bits):
             return self.lines == other.lines
         return self.entry_set() == other.entry_set()
 
@@ -147,7 +201,22 @@ class BoolMat:
         raise TypeError("BoolMat is not hashable")
 
     def __repr__(self) -> str:
-        return f"BoolMat({self.rows}x{self.cols}, {self.layout}, nnz={self.nnz})"
+        form = ", bits" if self.bits else ""
+        return f"BoolMat({self.rows}x{self.cols}, {self.layout}{form}, nnz={self.nnz})"
+
+
+def _list_lines(m: BoolMat) -> dict:
+    """m's lines as position lists (m's own dict when it has that form)."""
+    if not m.bits:
+        return m.lines
+    return {k: _positions(x) for k, x in m.lines.items()}
+
+
+def _bit_lines(m: BoolMat) -> dict:
+    """m's lines as ints (m's own dict when it has that form)."""
+    if m.bits:
+        return m.lines
+    return {k: _bitmask(line) for k, line in m.lines.items()}
 
 
 def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
@@ -177,38 +246,52 @@ def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _diff_sorted(a: list[int], b: list[int]) -> list[int]:
-    if not b:
-        return list(a)
-    bs = set(b)
-    return [x for x in a if x not in bs]
-
-
 class Accumulator:
-    """A matrix under construction: per line, the positions added so far,
-    unsorted and possibly repeated.  Unlike :class:`BoolMat` it is mutable.
-    ``spgemm(..., into=acc)`` and :meth:`add` append to it, and
-    :func:`masked` turns it into a :class:`BoolMat`, so a result gathered
-    from many products is sorted and deduplicated once."""
+    """A matrix under construction.  Unlike :class:`BoolMat` it is
+    mutable.  ``spgemm(..., into=acc)`` and :meth:`add` add lines to it,
+    and :func:`masked` turns it into a :class:`BoolMat` of the same form,
+    so a result gathered from many products is deduplicated once.  In
+    list form each line holds the positions added so far, unsorted and
+    possibly repeated; in bit form (``bits``) each line is the OR of the
+    ints added so far, and ``received`` counts the entries added (the
+    popcount of every line put), which the list form keeps as its line
+    lengths.  A bit-form accumulator ORs lines of the other layout into
+    ``crossed``, lines of that layout in its own shape, and turns them
+    into its own lines once, when it is masked, so an entry that many
+    products give is moved once."""
 
-    __slots__ = ("rows", "cols", "layout", "lines")
+    __slots__ = ("rows", "cols", "layout", "lines", "bits", "received", "crossed")
 
-    def __init__(self, rows: int, cols: int, layout: str = ROW):
+    def __init__(self, rows: int, cols: int, layout: str = ROW, bits: bool = False):
         if layout not in (ROW, COL):
             raise ValueError(f"unknown layout {layout!r}")
         self.rows = rows
         self.cols = cols
         self.layout = layout
-        self.lines: dict[int, list[int]] = {}
+        self.bits = bits
+        self.lines: dict = {}
+        self.received = 0
+        self.crossed: dict[int, int] = {}
 
-    def sink(self, rows: int, cols: int, layout: str):
+    def __bool__(self) -> bool:
+        """Whether anything was added since the accumulator was made or
+        last masked."""
+        return bool(self.lines or self.crossed)
+
+    def sink(self, rows: int, cols: int, layout: str, bits: bool = False):
         """A function ``put(line, positions)`` adding one line of a
-        rows x cols matrix stored in ``layout``.  A matrix of this
-        accumulator's shape is added as it is, re-bucketed entry by entry
-        when its layout differs.  A row-major n x k*n accumulator of
+        rows x cols matrix stored in ``layout``, the line given as an int
+        with ``bits`` and as an iterable of positions without.  A matrix of
+        this accumulator's shape is added as it is, re-bucketed entry by
+        entry when its layout differs.  A row-major n x k*n accumulator of
         horizontal blocks also takes a k*n x n matrix of vertical blocks:
         entry (t*n + u, w) goes to (u, t*n + w), as in
         :func:`vertical_to_horizontal`."""
+        if self.bits:
+            put = self._bit_sink(rows, cols, layout)
+            if not bits:
+                return lambda k, ps: put(k, _bitmask(ps))
+            return put
         lines = self.lines
         get = lines.get
         if (rows, cols) == (self.rows, self.cols):
@@ -231,14 +314,8 @@ class Accumulator:
                         else:
                             line.append(k)
 
-            return put
-        n = self.rows
-        if (rows, cols) != (self.cols, n) or self.layout != ROW or (n and self.cols % n):
-            raise ValueError(
-                f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} "
-                f"{self.layout}-major accumulator"
-            )
-        if layout == ROW:
+        elif layout == ROW:
+            n = self._block_size(rows, cols)
 
             def put(i, js):
                 u = i % n
@@ -251,6 +328,7 @@ class Accumulator:
                     line.extend(moved)
 
         else:
+            n = self._block_size(rows, cols)
 
             def put(j, is_):
                 for i in is_:
@@ -261,11 +339,67 @@ class Accumulator:
                     else:
                         line.append(i - u + j)
 
+        if bits:
+            return lambda k, x: put(k, _positions(x))
+        return put
+
+    def _block_size(self, rows: int, cols: int) -> int:
+        """n, when a k*n x n matrix of vertical blocks can be added to
+        this n x k*n accumulator; ValueError otherwise."""
+        n = self.rows
+        if (rows, cols) != (self.cols, n) or self.layout != ROW or (n and self.cols % n):
+            raise ValueError(
+                f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} "
+                f"{self.layout}-major accumulator"
+            )
+        return n
+
+    def _bit_sink(self, rows: int, cols: int, layout: str):
+        """:meth:`sink` of a bit-form accumulator, taking lines as ints."""
+        lines = self.lines
+        get = lines.get
+        crossed = self.crossed
+        cget = crossed.get
+        if (rows, cols) == (self.rows, self.cols):
+            if layout == self.layout:
+
+                def put(k, x):
+                    lines[k] = get(k, 0) | x
+                    self.received += x.bit_count()
+
+            else:
+
+                def put(k, x):
+                    crossed[k] = cget(k, 0) | x
+                    self.received += x.bit_count()
+
+        elif layout == ROW:
+            n = self._block_size(rows, cols)
+
+            def put(i, x):
+                u = i % n
+                lines[u] = get(u, 0) | x << (i - u)
+                self.received += x.bit_count()
+
+        else:
+            n = self._block_size(rows, cols)
+            # the slot-t rows of vertical column j, shifted down to 0..n-1,
+            # are column t*n + j of the horizontal blocks
+            full = (1 << n) - 1
+            offsets = range(0, self.cols, n or 1)
+
+            def put(j, x):
+                self.received += x.bit_count()
+                for off in offsets:
+                    part = x >> off & full
+                    if part:
+                        crossed[off + j] = cget(off + j, 0) | part
+
         return put
 
     def add(self, m: BoolMat) -> None:
         """Add every entry of ``m`` (see :meth:`sink` for the shapes)."""
-        put = self.sink(m.rows, m.cols, m.layout)
+        put = self.sink(m.rows, m.cols, m.layout, m.bits)
         for k, line in m.lines.items():
             put(k, line)
 
@@ -277,17 +411,20 @@ def spgemm(
     counter: OpCounter | None = None,
     into: Accumulator | None = None,
 ) -> BoolMat | None:
-    """Exact Boolean product a @ b.
+    """Exact Boolean product a @ b, for operands in either form.
 
     Row-by-row iterates the left operand's lines (both operands row-major,
     row-major result); column-by-column iterates the right operand's lines
     (both column-major, column-major result).  Cost is therefore driven by
     the operand on the orientation's natural driving side, which is what
-    makes a sparse delta cheap when placed there.
+    makes a sparse delta cheap when placed there.  A driving line in bit
+    form is first ANDed with the other operand's key mask, so only its
+    hits are walked; each product line is the OR (bit form) or set union
+    (list form) of the other operand's lines it hits.
 
     With ``into`` the product's lines are added to that accumulator, moved
     to its layout and shape as :meth:`Accumulator.sink` says, and nothing
-    is returned.
+    is returned.  Without it the product is returned in list form.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape()} @ {b.shape()}")
@@ -302,72 +439,147 @@ def spgemm(
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
     target = into if into is not None else Accumulator(a.rows, b.cols, layout)
-    put = target.sink(a.rows, b.cols, layout)
+    put = target.sink(a.rows, b.cols, layout, other.bits)
     sops = 0
     # an empty operand makes an empty product: the driver is not walked
     if a.nnz and b.nnz:
         oget = other.lines.get
-        for i, dline in driver.lines.items():
-            acc: set[int] = set()
-            for k in dline:
-                ol = oget(k)
-                if ol:
-                    acc.update(ol)
-                    sops += len(ol)
-            if acc:
-                put(i, acc)
+        if not (driver.bits or other.bits):
+            for i, dline in driver.lines.items():
+                acc: set[int] = set()
+                for k in dline:
+                    ol = oget(k)
+                    if ol:
+                        acc.update(ol)
+                        sops += len(ol)
+                if acc:
+                    put(i, acc)
+        else:
+            sops = _mixed_product(driver, other, put)
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
     if into is None:
-        # every line was put once, from a set
+        # every line was put once, without repeats
         return BoolMat(a.rows, b.cols, layout, {i: sorted(v) for i, v in target.lines.items()})
     return None
 
 
-def masked(
-    acc: Accumulator, pieces: Iterable[BoolMat], counter: OpCounter | None = None
-) -> BoolMat:
-    """The complement-masked result C<not M> of everything gathered in
-    ``acc``: each line becomes sorted(set(line) - that line of every
-    piece), and lines left empty are dropped.  The pieces together are M;
-    they share the accumulator's shape and layout.  ``acc`` is emptied.
-    The entries it received count as ``union_entries``."""
-    masks = []
+def _mixed_product(driver: BoolMat, other: BoolMat, put) -> int:
+    """The lines of a product with an operand in bit form, each put once:
+    an OR of ints when the other operand is in bit form, a set union of
+    lists otherwise.  Returns the scalar ops."""
+    sops = 0
+    oget = other.lines.get
+    if driver.bits:
+        # only the hits are looked up, and every hit finds a line
+        okeys = other.key_mask()
+        hit_lines = (
+            (i, list(map(oget, _positions(h))))
+            for i, x in driver.lines.items()
+            if (h := x & okeys)
+        )
+    else:
+        hit_lines = ((i, list(filter(None, map(oget, dline)))) for i, dline in driver.lines.items())
+    if other.bits:
+        for i, ols in hit_lines:
+            if ols:
+                put(i, reduce(or_, ols))
+                sops += sum(map(int.bit_count, ols))
+    else:
+        for i, ols in hit_lines:
+            put(i, set().union(*ols))
+            sops += sum(map(len, ols))
+    return sops
+
+
+def _getters(pieces: Iterable[BoolMat], acc: Accumulator, layout: str) -> list:
+    """(line lookup, bit form) of every nonempty piece, each checked to
+    have the accumulator's shape and ``layout``."""
+    out = []
     for p in pieces:
-        if p.shape() != (acc.rows, acc.cols) or p.layout != acc.layout:
+        if p.shape() != (acc.rows, acc.cols) or p.layout != layout:
             raise ValueError(
                 f"mask {p!r} does not match the {acc.rows}x{acc.cols} "
-                f"{acc.layout}-major accumulator"
+                f"{layout}-major accumulator"
             )
         if p.nnz:
-            masks.append(p.lines.get)
+            out.append((p.lines.get, p.bits))
+    return out
+
+
+def masked(
+    acc: Accumulator,
+    pieces: Iterable[BoolMat],
+    counter: OpCounter | None = None,
+    crossed_pieces: Iterable[BoolMat] = (),
+) -> BoolMat:
+    """The complement-masked result C<not M> of everything gathered in
+    ``acc``, in the accumulator's form: each line becomes sorted(set(line)
+    - that line of every piece), or in bit form ``line & ~piece_line`` over
+    the pieces, and lines left empty are dropped.  The pieces together are
+    M; they share the accumulator's shape and layout, in either form.
+    ``crossed_pieces``, if given, are M again in the other layout: a
+    bit-form accumulator's crossed lines are masked with them before they
+    are turned into its own lines, so only entries new to M are moved.
+    ``acc`` is emptied.  The entries it received count as
+    ``union_entries``."""
+    masks = _getters(pieces, acc, acc.layout)
+    cross_masks = _getters(crossed_pieces, acc, COL if acc.layout == ROW else ROW)
     lines = acc.lines
     if counter is not None:
-        counter.union_entries += sum(map(len, lines.values()))
-    out: dict[int, list[int]] = {}
+        counter.union_entries += acc.received if acc.bits else sum(map(len, lines.values()))
+    acc.received = 0
+    out: dict = {}
+    if acc.bits:
+        get = lines.get
+        crossed = acc.crossed
+        while crossed:
+            k, line = crossed.popitem()
+            for mget, bits in cross_masks:
+                got = mget(k)
+                if got:
+                    line &= ~(got if bits else _bitmask(got))
+            bit = 1 << k
+            for p in _positions(line):
+                lines[p] = get(p, 0) | bit
+        while lines:
+            k, line = lines.popitem()
+            for mget, bits in masks:
+                got = mget(k)
+                if got:
+                    line &= ~(got if bits else _bitmask(got))
+                    if not line:
+                        break
+            if line:
+                out[k] = line
     while lines:
         k, line = lines.popitem()
         keep = set(line)
-        for get in masks:
-            got = get(k)
+        for mget, bits in masks:
+            got = mget(k)
             if got:
-                keep.difference_update(got)
+                if bits:
+                    keep = {p for p in keep if not got >> p & 1}
+                else:
+                    keep.difference_update(got)
                 if not keep:
                     break
         if keep:
             out[k] = sorted(keep)
-    return BoolMat(acc.rows, acc.cols, acc.layout, out)
+    return BoolMat(acc.rows, acc.cols, acc.layout, out, acc.bits)
 
 
 def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None:
-    """Add every entry of ``d`` to ``m`` in place.  ``d`` must be disjoint
-    from ``m`` and share its shape and layout.  A line new to ``m`` gets a
-    copy of d's line; an existing line is replaced by the two lines
-    concatenated and sorted (timsort merges the two sorted runs), so the
-    cost is that of d's lines, whatever the size of ``m``.  ``d`` is not
-    changed and shares no list with ``m`` afterwards.  The entries of ``d``
-    count as ``union_entries``."""
+    """Add every entry of ``d`` to ``m`` in place, in m's form.  ``d`` must
+    be disjoint from ``m`` and share its shape and layout; its form may
+    differ.  In bit form each of d's lines is ORed into m's line.  In list
+    form a line new to ``m`` gets a copy of d's line, and an existing line
+    is replaced by the two lines concatenated and sorted (timsort merges
+    the two sorted runs).  Either way the cost is that of d's lines,
+    whatever the size of ``m``.  ``d`` is not changed and shares no list
+    with ``m`` afterwards.  The entries of ``d`` count as
+    ``union_entries``."""
     if m.shape() != d.shape():
         raise ValueError(f"shape mismatch: {m.shape()} vs {d.shape()}")
     if m.layout != d.layout:
@@ -376,69 +588,64 @@ def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None
         return
     lines = m.lines
     get = lines.get
-    for k, dline in d.lines.items():
-        line = get(k)
-        if line is None:
-            lines[k] = list(dline)
-        else:
-            # a new list of exactly the merged size: an extended list would
-            # keep its growth slack for the rest of the solve
-            line = line + dline
-            line.sort()
-            lines[k] = line
+    if m.bits:
+        for k, dline in _bit_lines(d).items():
+            lines[k] = get(k, 0) | dline
+    else:
+        for k, dline in _list_lines(d).items():
+            line = get(k)
+            if line is None:
+                lines[k] = list(dline)
+            else:
+                # a new list of exactly the merged size: an extended list
+                # would keep its growth slack for the rest of the solve
+                line = line + dline
+                line.sort()
+                lines[k] = line
     m.nnz += d.nnz
+    if m._keys is not None:
+        m._keys |= d.key_mask()
     if counter is not None:
         counter.union_entries += d.nnz
 
 
 def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
-    """Element-wise union.  Operands must share shape and layout."""
+    """Element-wise union.  Operands must share shape and layout; the
+    result is in bit form, a per-line OR, if either operand is."""
     if a.shape() != b.shape():
         raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")
     if a.layout != b.layout:
         raise ValueError("union requires matching layouts")
     if counter is not None:
         counter.union_entries += a.nnz + b.nnz
-    if not b.nnz:
-        return BoolMat(a.rows, a.cols, a.layout, dict(a.lines))
-    if not a.nnz:
-        return BoolMat(a.rows, a.cols, a.layout, dict(b.lines))
+    bits = a.bits or b.bits
+    if not (a.nnz and b.nnz):
+        src = b if b.nnz else a
+        return BoolMat(a.rows, a.cols, a.layout, dict(_bit_lines(src) if bits else src.lines), bits)
+    if bits:
+        al, bl = _bit_lines(a), _bit_lines(b)
+        out = {k: al.get(k, 0) | bl.get(k, 0) for k in al.keys() | bl.keys()}
+        return BoolMat(a.rows, a.cols, a.layout, out, True)
     out: dict[int, list[int]] = {}
     for k in a.lines.keys() | b.lines.keys():
         out[k] = _merge_sorted(a.lines.get(k, []), b.lines.get(k, []))
     return BoolMat(a.rows, a.cols, a.layout, out)
 
 
-def difference(a: BoolMat, b: BoolMat) -> BoolMat:
-    """Entries of ``a`` absent from ``b``.  Layouts may differ."""
-    if a.shape() != b.shape():
-        raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")
-    if not b.nnz or not a.nnz:
-        return BoolMat(a.rows, a.cols, a.layout, dict(a.lines))
-    out: dict[int, list[int]] = {}
-    if a.layout == b.layout:
-        for k, aline in a.lines.items():
-            kept = _diff_sorted(aline, b.lines.get(k, []))
-            if kept:
-                out[k] = kept
-    else:
-        for k, aline in a.lines.items():
-            kept = []
-            for pos in aline:
-                i, j = (k, pos) if a.layout == ROW else (pos, k)
-                if not b.get(i, j):
-                    kept.append(pos)
-            if kept:
-                out[k] = kept
-    return BoolMat(a.rows, a.cols, a.layout, out)
-
-
 def convert(a: BoolMat, layout: str) -> BoolMat:
-    """Return the same logical matrix stored in ``layout``."""
+    """Return the same logical matrix stored in ``layout``, in a's form."""
     if layout not in (ROW, COL):
         raise ValueError(f"unknown layout {layout!r}")
     if a.layout == layout:
         return a
+    if a.bits:
+        out: dict[int, int] = {}
+        get = out.get
+        for k, x in a.lines.items():
+            bit = 1 << k
+            for pos in _positions(x):
+                out[pos] = get(pos, 0) | bit
+        return BoolMat(a.rows, a.cols, layout, out, True)
     buckets: dict[int, list[int]] = {}
     # source lines are walked in ascending key order, so every bucket
     # comes out sorted
@@ -449,15 +656,16 @@ def convert(a: BoolMat, layout: str) -> BoolMat:
 
 
 def _remap(a: BoolMat, rows: int, cols: int, move) -> BoolMat:
-    """Rebuild ``a`` with every entry (i, j) moved to move(i, j)."""
+    """Rebuild ``a`` in list form with every entry (i, j) moved to
+    move(i, j)."""
     buckets: dict[int, set[int]] = {}
     if a.layout == ROW:
-        for i, line in a.lines.items():
+        for i, line in _list_lines(a).items():
             for j in line:
                 ni, nj = move(i, j)
                 buckets.setdefault(ni, set()).add(nj)
     else:
-        for j, line in a.lines.items():
+        for j, line in _list_lines(a).items():
             for i in line:
                 ni, nj = move(i, j)
                 buckets.setdefault(nj, set()).add(ni)

@@ -13,6 +13,7 @@ import numpy as np
 
 from cflr.grammar import Cfg, Symbol, TERMINAL
 from cflr.graph import LabeledGraph, load_graph
+from cflr.solver import MatrixForest
 from cflr.sparse import BoolMat, ROW
 
 
@@ -71,6 +72,49 @@ def to_dense(m: BoolMat) -> np.ndarray:
 def from_dense(a: np.ndarray, layout: str = ROW) -> BoolMat:
     entries = list(zip(*np.nonzero(a)))
     return BoolMat.from_entries(a.shape[0], a.shape[1], [(int(i), int(j)) for i, j in entries], layout)
+
+
+def _diff_sorted(a: list[int], b: list[int]) -> list[int]:
+    if not b:
+        return list(a)
+    bs = set(b)
+    return [x for x in a if x not in bs]
+
+
+def difference(a: BoolMat, b: BoolMat) -> BoolMat:
+    """Entries of ``a`` absent from ``b``, in list form.  Layouts may
+    differ.  The reference the engine's :func:`cflr.sparse.masked` is
+    checked against."""
+    if a.shape() != b.shape():
+        raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")
+    a = a.in_form(False)
+    if not b.nnz or not a.nnz:
+        return BoolMat(a.rows, a.cols, a.layout, dict(a.lines))
+    out: dict[int, list[int]] = {}
+    if a.layout == b.layout:
+        b = b.in_form(False)
+        for k, aline in a.lines.items():
+            kept = _diff_sorted(aline, b.lines.get(k, []))
+            if kept:
+                out[k] = kept
+    else:
+        for k, aline in a.lines.items():
+            kept = []
+            for pos in aline:
+                i, j = (k, pos) if a.layout == ROW else (pos, k)
+                if not b.get(i, j):
+                    kept.append(pos)
+            if kept:
+                out[k] = kept
+    return BoolMat(a.rows, a.cols, a.layout, out)
+
+
+def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
+    """d minus the forest's logical union, subtracting piece by piece,
+    largest piece first."""
+    for piece in forest.payloads(largest_first=True):
+        d = difference(d, piece)
+    return d
 
 
 def triple_names(triples) -> set[tuple[str, int, int]]:

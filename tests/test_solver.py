@@ -14,15 +14,14 @@ from cflr.solver import (
     MatrixForest,
     SolveTimeout,
     VariantFlags,
-    forest_difference,
     forest_insert,
     solve,
     _Bundle,
     _fold,
 )
 from cflr.semiring import PLAIN
-from cflr.sparse import COL, ROW, BoolMat, convert, difference, union
-from _support import random_boolmat, random_instance, triple_names
+from cflr.sparse import COL, ROW, BoolMat, convert, union
+from _support import difference, forest_difference, random_boolmat, random_instance, triple_names
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
 
@@ -321,11 +320,21 @@ class TestSolve:
         with pytest.raises(SolveTimeout):
             solve(graph, g, VariantFlags.named("ma"), deadline=time.monotonic())
 
-    @pytest.mark.parametrize("variant", ["ma", "ma1"])
-    def test_deadline_holds_inside_an_iteration(self, monkeypatch, variant):
+    @pytest.mark.parametrize(
+        "grammar, variant",
+        [
+            (preset("dyck"), "ma"),
+            (preset("dyck"), "ma1"),
+            # S is the only result symbol and has two steps: the deadline
+            # passes between two products of one symbol
+            (parse_grammar("start: S\nS -> a S | b S | a | b\n"), "ma1"),
+        ],
+        ids=["ma", "ma1", "ma1-two-steps-of-one-symbol"],
+    )
+    def test_deadline_holds_inside_an_iteration(self, monkeypatch, grammar, variant):
         """The deadline passes during the first product of iteration 1; the
-        solve stops before that iteration's remaining products."""
-        g = ensure_wcnf(preset("dyck"))
+        solve stops before the next product."""
+        g = ensure_wcnf(grammar)
         graph = chain_graph(16)
         full = solve(graph, g, VariantFlags.named(variant))
         per_iteration = full.counters.spgemm_calls // full.iterations
@@ -350,7 +359,7 @@ class TestSolve:
                 iteration_hook=lambda it, *_: iterations.append(it),
             )
         assert iterations == [1]
-        assert 1 <= len(products) < per_iteration
+        assert 1 == len(products) < per_iteration
 
     def test_right_transform_is_built_once_per_operand(self, monkeypatch):
         """A ``c -> x y_i`` rule collapses its right operand.  While x's

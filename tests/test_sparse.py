@@ -16,7 +16,6 @@ from cflr.sparse import (
     block_diagonalize,
     block_offset,
     convert,
-    difference,
     horizontal_to_vertical,
     masked,
     merge_into,
@@ -24,7 +23,7 @@ from cflr.sparse import (
     union,
     vertical_to_horizontal,
 )
-from _support import from_dense, random_boolmat, to_dense
+from _support import difference, from_dense, random_boolmat, to_dense
 
 
 def shuffled(m, rng):
@@ -555,3 +554,210 @@ class TestUnorderedKeys:
         for inputs, r in results:
             assert all(r.lines is not x.lines for x in inputs), (inputs, r)
         assert convert(a, ROW) is a  # the documented exception
+
+
+FORMS = (False, True)
+
+
+def in_forms(ms, forms):
+    return [m.in_form(bits) for m, bits in zip(ms, forms)]
+
+
+class TestBitForm:
+    """A matrix whose lines are ints gives every kernel the entries and the
+    work counts of its list-form twin, in every mix of forms."""
+
+    @pytest.mark.parametrize("layout", [ROW, COL])
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_queries_and_reshapes(self, layout, n, k, rng):
+        other = COL if layout == ROW else ROW
+        a = random_boolmat(rng, n, n, rng.random() * 0.6, layout)
+        ab = a.in_form(True)
+        assert ab.bits and not a.bits and ab.in_form(True) is ab
+        assert ab.nnz == a.nnz and ab.lines.keys() == a.lines.keys()
+        assert all(isinstance(x, int) and x for x in ab.lines.values())
+        _assert_same(ab.in_form(False), a)
+        assert sorted(ab.entries()) == sorted(a.entries())
+        assert all(ab.get(i, j) == a.get(i, j) for i in range(n) for j in range(n))
+        assert ab == a and a == ab and ab == convert(a, other)
+        assert ab.copy() == a and ab.copy().bits
+        assert ab.key_mask() == sum(1 << key for key in a.lines) == a.key_mask()
+        for lay in (ROW, COL):
+            got = convert(ab, lay)
+            assert got.bits and got == convert(a, lay)
+        h = random_boolmat(rng, n, k * n, rng.random() * 0.6, layout)
+        v = random_boolmat(rng, k * n, n, rng.random() * 0.6, layout)
+        hb, vb = h.in_form(True), v.in_form(True)
+        for slot in range(k):
+            for side in ("horizontal", "vertical"):
+                _assert_same(block_offset(ab, slot, k, side), block_offset(a, slot, k, side))
+        _assert_same(block_collapse(hb, n, k), block_collapse(h, n, k))
+        _assert_same(horizontal_to_vertical(hb, n, k), horizontal_to_vertical(h, n, k))
+        _assert_same(block_diagonalize(vb, n, k), block_diagonalize(v, n, k))
+        _assert_same(vertical_to_horizontal(vb, n, k), vertical_to_horizontal(v, n, k))
+
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @pytest.mark.parametrize("driver_bits", FORMS)
+    @pytest.mark.parametrize("other_bits", FORMS)
+    @given(
+        n=st.integers(1, 9),
+        count=st.integers(1, 3),
+        masks=st.integers(0, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_products_and_masks(self, orientation, driver_bits, other_bits, n, count, masks, rng):
+        lay = _operand_layout(orientation)
+        pairs = [
+            (
+                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
+            )
+            for _ in range(count)
+        ]
+        # the left operand drives row-by-row, the right one column-by-column
+        forms = (driver_bits, other_bits) if orientation == ROW_BY_ROW else (other_bits, driver_bits)
+        want_c = OpCounter()
+        want = [spgemm(a, b, orientation, want_c) for a, b in pairs]
+        got_c = OpCounter()
+        got = [spgemm(*in_forms(p, forms), orientation, got_c) for p in pairs]
+        assert got_c == want_c
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+        for target in (ROW, COL):
+            pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(masks)]
+            units = [random_boolmat(rng, n, n, 0.3, target) for _ in range(rng.randrange(2))]
+            results = []
+            for acc_bits in FORMS:
+                c = OpCounter()
+                acc = Accumulator(n, n, target, bits=acc_bits)
+                for p in pairs:
+                    assert spgemm(*in_forms(p, forms), orientation, c, into=acc) is None
+                for u in units:
+                    acc.add(u.in_form(rng.random() < 0.5))
+                piece_forms = [rng.random() < 0.5 for _ in pieces]
+                results.append((masked(acc, in_forms(pieces, piece_forms), c), c))
+                assert not acc and not acc.lines and not acc.received
+            (ref, ref_c), (bit, bit_c) = results
+            assert not ref.bits and bit.bits
+            assert ref_c == bit_c
+            _assert_same(bit.in_form(False), ref)
+            assert ref == _union_minus(want + units, lambda p: convert(p, target), pieces, n, n, target)
+
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 3),
+        masks=st.integers(0, 2),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_vertical_products_into_a_bit_accumulator(self, orientation, n, k, masks, rng):
+        lay = _operand_layout(orientation)
+        pairs = [
+            (
+                random_boolmat(rng, k * n, n, rng.random() * 0.6, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
+            )
+            for _ in range(rng.randrange(1, 4))
+        ]
+        units = [random_boolmat(rng, n, k * n, 0.2) for _ in range(rng.randrange(2))]
+        pieces = [random_boolmat(rng, n, k * n, rng.random() * 0.6) for _ in range(masks)]
+        results = []
+        for acc_bits in FORMS:
+            c = OpCounter()
+            acc = Accumulator(n, k * n, ROW, bits=acc_bits)
+            for a, b in pairs:
+                forms = [acc_bits and rng.random() < 0.5 for _ in range(2)]
+                spgemm(*in_forms((a, b), forms), orientation, c, into=acc)
+            for u in units:
+                acc.add(u.in_form(acc_bits))
+            results.append((masked(acc, in_forms(pieces, [acc_bits] * masks), c), c))
+        (ref, ref_c), (bit, bit_c) = results
+        assert ref_c == bit_c
+        _assert_same(bit.in_form(False), ref)
+
+    @pytest.mark.parametrize("target", [ROW, COL])
+    @given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_crossed_lines_masked_in_their_own_layout(self, target, n, rng):
+        """Masking the crossed lines of a bit accumulator by M in their
+        own layout first keeps exactly what masking after the move does."""
+        other = COL if target == ROW else ROW
+        products = [random_boolmat(rng, n, n, rng.random() * 0.6, other) for _ in range(3)]
+        pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(2)]
+        results = []
+        for crossed in ((), [convert(p, other).in_form(rng.random() < 0.5) for p in pieces]):
+            c = OpCounter()
+            acc = Accumulator(n, n, target, bits=True)
+            for p in products:
+                acc.add(p.in_form(rng.random() < 0.5))
+            assert bool(acc) == any(p.nnz for p in products)
+            results.append((masked(acc, pieces, c, crossed), c))
+        (plain, plain_c), (early, early_c) = results
+        assert plain_c == early_c
+        assert plain.bits and early.bits and plain.lines == early.lines
+        with pytest.raises(ValueError):
+            masked(Accumulator(n, n, target, bits=True), [], None, pieces)
+
+    @pytest.mark.parametrize("layout", [ROW, COL])
+    @pytest.mark.parametrize("d_bits", FORMS)
+    @pytest.mark.parametrize("m_bits", FORMS)
+    @given(
+        rows=st.integers(1, 10),
+        cols=st.integers(1, 10),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_merge_into_and_union(self, layout, d_bits, m_bits, rows, cols, rng):
+        m = random_boolmat(rng, rows, cols, rng.random() * 0.6, layout)
+        d = difference(random_boolmat(rng, rows, cols, rng.random() * 0.6, layout), m)
+        want = union(m, d)
+        mf, df = m.in_form(m_bits), d.in_form(d_bits)
+        c, uc = OpCounter(), OpCounter()
+        got_union = union(mf, df, uc)
+        assert got_union.bits == (m_bits or d_bits) and got_union == want
+        assert uc.union_entries == m.nnz + d.nnz
+        d_lines = dict(df.lines) if d_bits else {k: list(v) for k, v in df.lines.items()}
+        keys_before = mf.key_mask()
+        merge_into(df, mf, c)
+        assert mf.bits == m_bits and mf == want and mf.nnz == want.nnz
+        assert c.union_entries == d.nnz
+        assert df.lines == d_lines and mf.lines is not df.lines
+        assert keys_before | d.key_mask() == mf.key_mask() == sum(1 << k for k in mf.lines)
+        if not m_bits:
+            for line in mf.lines.values():
+                line.append(rows + cols)
+            assert df.lines == d_lines  # m shares no list with d
+
+    def test_every_result_owns_its_dict(self):
+        n, k = 4, 2
+        a = BoolMat.from_entries(n, n, [(0, 1), (2, 3), (3, 3)]).in_form(True)
+        b = BoolMat.from_entries(n, n, [(1, 2), (3, 0)]).in_form(True)
+        ac, bc = convert(a, COL), convert(b, COL)
+        h = block_offset(a, 1, k, "horizontal").in_form(True)
+        v = horizontal_to_vertical(h, n, k).in_form(True)
+        acc = Accumulator(n, n, bits=True)
+        acc.add(a)
+        results = [
+            ((a, b), spgemm(a, b)),
+            ((ac, bc), spgemm(ac, bc, COL_BY_COL)),
+            ((acc, b), masked(acc, [b])),
+            ((a, b), union(a, b)),
+            ((a, b.in_form(False)), union(a, b.in_form(False))),
+            ((a,), convert(a, COL)),
+            ((a,), a.in_form(False)),
+            ((a,), block_offset(a, 0, k, "vertical")),
+            ((h,), block_collapse(h, n, k)),
+            ((h,), horizontal_to_vertical(h, n, k)),
+            ((v,), block_diagonalize(v, n, k)),
+            ((v,), vertical_to_horizontal(v, n, k)),
+            ((a,), a.copy()),
+        ]
+        for inputs, r in results:
+            assert all(r.lines is not x.lines for x in inputs), (inputs, r)
