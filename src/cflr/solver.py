@@ -248,7 +248,8 @@ class _Store:
     and the deltas of this symbol follow the same choice."""
 
     __slots__ = (
-        "sym", "keys", "canonical", "crossed", "n", "k", "forest", "bundle", "bit_keys", "int_bytes"
+        "sym", "keys", "canonical", "crossed", "dims", "n", "k", "forest", "bundle", "bit_keys",
+        "int_bytes",
     )
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
@@ -258,6 +259,7 @@ class _Store:
         # the canonical copy's twin in the other layout, if kept
         crossed = (canonical[0], ROW if canonical[1] == COL else COL)
         self.crossed = crossed if crossed in self.keys else None
+        self.dims = matrix_dims(canonical[0], n, k)
         self.n = n
         self.k = k
         if lazy:
@@ -285,9 +287,10 @@ class _Store:
         db = dview.bundle(self.keys)
         if self.forest is None:
             self.bundle.merge(db, counter)
+            bundles = (self.bundle,)
         else:
             self.forest.insert(db, counter)
-        bundles = [self.bundle] if self.forest is None else self.forest.elements
+            bundles = self.forest.elements
         for key in self.keys:
             if key in self.bit_keys:
                 continue
@@ -305,9 +308,7 @@ class _Store:
     def accumulator(self) -> Accumulator:
         """A fresh accumulator in the canonical key's shape, layout and
         line form."""
-        repr_, layout = self.canonical
-        dims = matrix_dims(repr_, self.n, self.k)
-        return Accumulator(*dims, layout=layout, bits=self.canonical in self.bit_keys)
+        return Accumulator(*self.dims, self.canonical[1], self.canonical in self.bit_keys)
 
     def mask(self, acc: Accumulator, counter: OpCounter) -> BoolMat:
         """What ``acc`` holds beyond the stored matrix.  A bit-form
@@ -320,9 +321,7 @@ class _Store:
         """Logical matrix in the canonical key (no counter: reporting only)."""
         if self.forest is None:
             return self.bundle.copies[self.canonical]
-        out = BoolMat.empty(
-            *matrix_dims(self.canonical[0], self.n, self.k), layout=self.canonical[1]
-        )
+        out = BoolMat.empty(*self.dims, layout=self.canonical[1])
         for el in self.forest.payloads(largest_first=True):
             out = sparse.union(out, el.copies[self.canonical])
         return out

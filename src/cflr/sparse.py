@@ -89,7 +89,7 @@ class BoolMat:
     never changed.
     """
 
-    __slots__ = ("rows", "cols", "layout", "lines", "nnz", "bits", "_keys")
+    __slots__ = ("rows", "cols", "layout", "lines", "nnz", "bits", "_keys", "_ints")
 
     def __init__(
         self,
@@ -108,6 +108,7 @@ class BoolMat:
         self.bits = bits
         self.nnz = sum(map(int.bit_count if bits else len, lines.values()))
         self._keys: int | None = None
+        self._ints: dict[int, int] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -156,6 +157,16 @@ class BoolMat:
         if self._keys is None:
             self._keys = _bitmask(self.lines)
         return self._keys
+
+    def int_lines(self) -> dict[int, int]:
+        """The lines as ints: ``lines`` itself in bit form, else a copy
+        that is kept with the matrix, and that :func:`merge_into` brings
+        up to date."""
+        if self.bits:
+            return self.lines
+        if self._ints is None:
+            self._ints = _bit_lines(self)
+        return self._ints
 
     def get(self, i: int, j: int) -> bool:
         line, pos = (i, j) if self.layout == ROW else (j, i)
@@ -439,7 +450,10 @@ def spgemm(
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
     target = into if into is not None else Accumulator(a.rows, b.cols, layout)
-    put = target.sink(a.rows, b.cols, layout, other.bits)
+    # product lines are ints when the other operand's lines are, or when a
+    # driver in bit form feeds a bit-form accumulator
+    ints = other.bits or (driver.bits and target.bits)
+    put = target.sink(a.rows, b.cols, layout, ints)
     sops = 0
     # an empty operand makes an empty product: the driver is not walked
     if a.nnz and b.nnz:
@@ -455,7 +469,7 @@ def spgemm(
                 if acc:
                     put(i, acc)
         else:
-            sops = _mixed_product(driver, other, put)
+            sops = _mixed_product(driver, other, put, ints)
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
@@ -465,12 +479,12 @@ def spgemm(
     return None
 
 
-def _mixed_product(driver: BoolMat, other: BoolMat, put) -> int:
+def _mixed_product(driver: BoolMat, other: BoolMat, put, ints: bool) -> int:
     """The lines of a product with an operand in bit form, each put once:
-    an OR of ints when the other operand is in bit form, a set union of
-    lists otherwise.  Returns the scalar ops."""
+    with ``ints`` an OR of the other operand's lines as ints, else a set
+    union of its lists.  Returns the scalar ops."""
     sops = 0
-    oget = other.lines.get
+    oget = (other.int_lines() if ints else other.lines).get
     if driver.bits:
         # only the hits are looked up, and every hit finds a line
         okeys = other.key_mask()
@@ -481,7 +495,7 @@ def _mixed_product(driver: BoolMat, other: BoolMat, put) -> int:
         )
     else:
         hit_lines = ((i, list(filter(None, map(oget, dline)))) for i, dline in driver.lines.items())
-    if other.bits:
+    if ints:
         for i, ols in hit_lines:
             if ols:
                 put(i, reduce(or_, ols))
@@ -525,7 +539,8 @@ def masked(
     ``acc`` is emptied.  The entries it received count as
     ``union_entries``."""
     masks = _getters(pieces, acc, acc.layout)
-    cross_masks = _getters(crossed_pieces, acc, COL if acc.layout == ROW else ROW)
+    if acc.bits:
+        cross_masks = _getters(crossed_pieces, acc, COL if acc.layout == ROW else ROW)
     lines = acc.lines
     if counter is not None:
         counter.union_entries += acc.received if acc.bits else sum(map(len, lines.values()))
@@ -605,6 +620,10 @@ def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None
     m.nnz += d.nnz
     if m._keys is not None:
         m._keys |= d.key_mask()
+    if m._ints is not None:
+        ints = m._ints
+        for k, x in _bit_lines(d).items():
+            ints[k] = ints.get(k, 0) | x
     if counter is not None:
         counter.union_entries += d.nnz
 

@@ -587,6 +587,7 @@ class TestBitForm:
         assert ab == a and a == ab and ab == convert(a, other)
         assert ab.copy() == a and ab.copy().bits
         assert ab.key_mask() == sum(1 << key for key in a.lines) == a.key_mask()
+        assert ab.int_lines() is ab.lines and a.int_lines() == ab.lines
         for lay in (ROW, COL):
             got = convert(ab, lay)
             assert got.bits and got == convert(a, lay)
@@ -725,11 +726,14 @@ class TestBitForm:
         assert uc.union_entries == m.nnz + d.nnz
         d_lines = dict(df.lines) if d_bits else {k: list(v) for k, v in df.lines.items()}
         keys_before = mf.key_mask()
+        mf.int_lines()  # a list-form m now keeps an int view
         merge_into(df, mf, c)
         assert mf.bits == m_bits and mf == want and mf.nnz == want.nnz
         assert c.union_entries == d.nnz
         assert df.lines == d_lines and mf.lines is not df.lines
         assert keys_before | d.key_mask() == mf.key_mask() == sum(1 << k for k in mf.lines)
+        # the int view kept with m follows the merge
+        assert mf.int_lines() == want.in_form(True).lines
         if not m_bits:
             for line in mf.lines.values():
                 line.append(rows + cols)
