@@ -217,7 +217,11 @@ class _DeltaView:
     def __init__(self, mat: BoolMat, store: "_Store"):
         self.mat = mat
         self.store = store
-        self._cache: dict[_StoreKey, BoolMat] = {store.canonical: mat}
+        # the accumulator's form was chosen before this iteration's insert,
+        # which may have switched the canonical key to bit form
+        self._cache: dict[_StoreKey, BoolMat] = {
+            store.canonical: mat.in_form(store.canonical in store.bit_keys)
+        }
 
     def copy(self, repr_: str, layout: str) -> BoolMat:
         key = (repr_, layout)
@@ -249,7 +253,7 @@ class _Store:
 
     __slots__ = (
         "sym", "keys", "canonical", "crossed", "dims", "n", "k", "forest", "bundle", "bit_keys",
-        "int_bytes",
+        "pending",
     )
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
@@ -271,12 +275,13 @@ class _Store:
                 {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
             )
         self.bit_keys: set[_StoreKey] = set()
-        # the size of one line as an int, as wide as the line
-        self.int_bytes: dict[_StoreKey, int] = {}
+        # the keys still in list form, each with how much more one of its
+        # lines takes as an int, as wide as the line, than as an empty list
+        self.pending: list[tuple[_StoreKey, int]] = []
         for repr_, layout in self.keys:
             rows, cols = matrix_dims(repr_, n, k)
             width = cols if layout == ROW else rows
-            self.int_bytes[repr_, layout] = sys.getsizeof((1 << width) - 1)
+            self.pending.append(((repr_, layout), sys.getsizeof((1 << width) - 1) - _LIST_BYTES))
 
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
         if self.forest is None:
@@ -291,19 +296,19 @@ class _Store:
         else:
             self.forest.insert(db, counter)
             bundles = self.forest.elements
-        for key in self.keys:
-            if key in self.bit_keys:
-                continue
+        for key, excess in self.pending:
             # switch once the lines would take no more memory as ints
             lines = nnz = 0
             for el in bundles:
                 m = el.copies[key]
                 lines += len(m.lines)
                 nnz += m.nnz
-            if lines * self.int_bytes[key] <= lines * _LIST_BYTES + nnz * _SLOT_BYTES:
+            if lines * excess <= nnz * _SLOT_BYTES:
                 self.bit_keys.add(key)
                 for el in bundles:
                     el.copies[key] = el.copies[key].in_form(True)
+        if len(self.pending) + len(self.bit_keys) > len(self.keys):
+            self.pending = [(key, e) for key, e in self.pending if key not in self.bit_keys]
 
     def accumulator(self) -> Accumulator:
         """A fresh accumulator in the canonical key's shape, layout and
@@ -421,8 +426,10 @@ def solve(
     results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     result_syms = [s for s in syms if s in results]
 
+    monotonic = time.monotonic
+
     def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and monotonic() > deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
     # every variant, the baseline too, starts from the seeds as its delta
@@ -456,7 +463,9 @@ def solve(
                 for lm in lefts(*st.left, layout):
                     la = _apply_transform(lm, st.left_transform, n, k)
                     for ra in ras:
-                        check_deadline()
+                        # check_deadline(), inlined: it runs before every product
+                        if deadline is not None and monotonic() > deadline:
+                            raise SolveTimeout("solve exceeded its deadline")
                         sparse.spgemm(la, ra, orientation, counter, into=acc)
 
     def materialized_view(snapshot: bool = False) -> NontermMatrix:

@@ -450,13 +450,17 @@ def spgemm(
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
     target = into if into is not None else Accumulator(a.rows, b.cols, layout)
-    # product lines are ints when the other operand's lines are, or when a
-    # driver in bit form feeds a bit-form accumulator
-    ints = other.bits or (driver.bits and target.bits)
-    put = target.sink(a.rows, b.cols, layout, ints)
     sops = 0
-    # an empty operand makes an empty product: the driver is not walked
-    if a.nnz and b.nnz:
+    # an empty operand makes an empty product: the driver is not walked,
+    # and only the accumulator's shape is checked
+    if not (a.nnz and b.nnz):
+        if (a.rows, b.cols) != (target.rows, target.cols):
+            target._block_size(a.rows, b.cols)
+    else:
+        # product lines are ints when the other operand's lines are, or
+        # when a driver in bit form feeds a bit-form accumulator
+        ints = other.bits or (driver.bits and target.bits)
+        put = target.sink(a.rows, b.cols, layout, ints)
         oget = other.lines.get
         if not (driver.bits or other.bits):
             for i, dline in driver.lines.items():

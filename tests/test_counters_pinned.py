@@ -16,10 +16,11 @@ import random
 
 import pytest
 
-from cflr import PRESET_NAMES, VariantFlags, ensure_wcnf, load_graph, preset, solve
+from cflr import PRESET_NAMES, VariantFlags, ensure_wcnf, load_graph, preset, solve, solver
 from cflr.grammar import parse_grammar
 from cflr.graph import chain_graph
 from cflr.semiring import PLAIN
+from cflr.sparse import ROW
 
 from _support import sized_graph_text
 
@@ -158,3 +159,24 @@ def test_counters_and_triples_are_pinned(name):
         assert got == PINNED[name, variant], variant
         if name in FINAL_BITS:
             assert r.matrices.mats[r.grammar.start, PLAIN].bits is FINAL_BITS[name], variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_switched_copies_keep_every_piece_in_bit_form(monkeypatch, variant):
+    """After a stored copy switches to bit form, every piece of it stays in
+    bit form: under lazy union each delta becomes a forest piece, and the
+    delta masked in the iteration of the switch must come in bit form too."""
+    insert = solver._Store.insert
+    switched = set()
+
+    def checked(store, dview, counter):
+        insert(store, dview, counter)
+        for key in store.bit_keys:
+            assert all(p.bits for p in store.pieces(key)), (store.sym, key)
+            switched.add((store.sym, key))
+
+    monkeypatch.setattr(solver._Store, "insert", checked)
+    # M's row copy switches in an iteration that also finds new M entries
+    _, got = measure("fsca-wcnf:1", variant)
+    assert got == PINNED["fsca-wcnf:1", variant]
+    assert any(sym.name() == "M" and key == (PLAIN, ROW) for sym, key in switched)
