@@ -47,6 +47,18 @@ class Symbol:
     kind: str
     base: str
     index: str | None = None
+    # symbols key the solver's dicts, so the hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.base, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, do not copy
+        return (Symbol, (self.kind, self.base, self.index))
 
     def name(self) -> str:
         if self.kind == EPSILON_KIND:

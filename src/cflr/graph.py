@@ -91,6 +91,7 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
                 return Symbol(TERMINAL, base, tag)
         return Symbol(TERMINAL, label, None)
 
+    labels: dict[str, Symbol] = {}  # one symbol per distinct label
     edges: list[tuple[int, Symbol, int]] = []
     seen: set[tuple[int, Symbol, int]] = set()
     universe: list[str] = []
@@ -106,7 +107,7 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
                 f"expected 'source label target', got {len(parts)} tokens", lineno
             )
         u_tok, label, v_tok = parts
-        sym = resolve_label(label, lineno)
+        sym = labels.get(label) or labels.setdefault(label, resolve_label(label, lineno))
         u, v = intern(u_tok), intern(v_tok)
         triple = (u, sym, v)
         if triple in seen:

@@ -252,17 +252,13 @@ class _Store:
     and the deltas of this symbol follow the same choice."""
 
     __slots__ = (
-        "sym", "keys", "canonical", "crossed", "dims", "n", "k", "forest", "bundle", "bit_keys",
-        "pending",
+        "sym", "keys", "canonical", "dims", "n", "k", "forest", "bundle", "bit_keys", "pending",
     )
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
         self.sym = sym
         self.keys = tuple(keys)
         self.canonical = canonical
-        # the canonical copy's twin in the other layout, if kept
-        crossed = (canonical[0], ROW if canonical[1] == COL else COL)
-        self.crossed = crossed if crossed in self.keys else None
         self.dims = matrix_dims(canonical[0], n, k)
         self.n = n
         self.k = k
@@ -315,13 +311,6 @@ class _Store:
         line form."""
         return Accumulator(*self.dims, self.canonical[1], self.canonical in self.bit_keys)
 
-    def mask(self, acc: Accumulator, counter: OpCounter) -> BoolMat:
-        """What ``acc`` holds beyond the stored matrix.  A bit-form
-        accumulator's lines of the other layout are masked with the copy
-        in that layout, when the store keeps one."""
-        crossed = self.pieces(self.crossed) if acc.bits and self.crossed else ()
-        return sparse.masked(acc, self.pieces(self.canonical), counter, crossed)
-
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
         if self.forest is None:
@@ -365,7 +354,8 @@ def solve(
     materialized snapshots: ``delta`` is disjoint from ``m_old`` and ``m``
     is their union.  ``deadline`` is a ``time.monotonic()`` instant after
     which :class:`SolveTimeout` is raised: it is checked at the top of
-    every iteration, before each product and before the mask step.
+    every iteration, before each product, before each unit-rule step and
+    before the mask step.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
@@ -384,7 +374,8 @@ def solve(
         s: (use_blocks and g_run.is_indexed_symbol(s)) for s in syms
     }
 
-    # which (representation, layout) copies each symbol's store must keep
+    # which (representation, layout) copies each symbol's store must keep;
+    # under dual_format M_old * delta reads M's column-major copy
     left_lay = COL if flags.dual_format else ROW
     needs: dict[Symbol, set[_StoreKey]] = {s: set() for s in syms}
     for st in plan.bin_steps:
@@ -450,17 +441,26 @@ def solve(
             empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
         return [empties[repr_, layout]]
 
-    def gather(accs, lefts, rights, layout: str, orientation: str) -> None:
+    # right operands (and unit-rule sources) under their transform, which
+    # is a collapse, built once per operand and iteration: a delta's copy
+    # can be read again as a forest piece.  Each is kept with its operand,
+    # so the id is not reused.
+    built: dict[int, tuple[BoolMat, BoolMat]] = {}
+
+    def transformed(m: BoolMat, transform: str | None) -> BoolMat:
+        if transform is not None and id(m) not in built:
+            built[id(m)] = (m, _apply_transform(m, transform, n, k))
+        return m if transform is None else built[id(m)][1]
+
+    def gather(accs, lefts, rights, orientation: str) -> None:
         """Multiply every binary step's operands, ``lefts``/``rights`` of
         (symbol, repr, layout), into its result symbol's accumulator."""
+        left_layout, right_layout = sparse.OPERAND_LAYOUTS[orientation]
         for sym, steps in steps_by_result.items():
             acc = accs[sym]
             for st in steps:
-                ras = [
-                    _apply_transform(rm, st.right_transform, n, k)
-                    for rm in rights(*st.right, layout)
-                ]
-                for lm in lefts(*st.left, layout):
+                ras = [transformed(m, st.right_transform) for m in rights(*st.right, right_layout)]
+                for lm in lefts(*st.left, left_layout):
                     la = _apply_transform(lm, st.left_transform, n, k)
                     for ra in ras:
                         # check_deadline(), inlined: it runs before every product
@@ -501,27 +501,29 @@ def solve(
 
         accs = {s: stores[s].accumulator() for s in result_syms}
         if flags.delta:
-            # M_old * delta, against the stores before the insert
-            orientation = sparse.COL_BY_COL if flags.dual_format else sparse.ROW_BY_ROW
-            gather(accs, stored, delta_side, left_lay, orientation)
+            # M_old * delta, against the stores before the insert; under
+            # dual_format the delta's rows drive it through M's columns
+            orientation = sparse.OUTER if flags.dual_format else sparse.ROW_BY_ROW
+            gather(accs, stored, delta_side, orientation)
         for s, dv in deltas.items():
             stores[s].insert(dv, counter)
         # delta * M_new (baseline: M * M), then the unit rules
-        gather(accs, new_side, stored, ROW, sparse.ROW_BY_ROW)
+        gather(accs, new_side, stored, sparse.ROW_BY_ROW)
         for ust in plan.unit_steps:
             for piece in new_side(*ust.source, ROW):
-                if ust.collapse:
-                    piece = sparse.block_collapse(piece, n, k)
-                accs[ust.result[0]].add(piece)
+                check_deadline()
+                accs[ust.result[0]].add(transformed(piece, "collapse" if ust.collapse else None))
+        built.clear()
 
         # what survives the mask of the stored matrix is the next delta
         check_deadline()
         deltas = {}
         for s, acc in accs.items():
             if acc:
-                fresh = stores[s].mask(acc, counter)
+                store = stores[s]
+                fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
                 if fresh.nnz:
-                    deltas[s] = _DeltaView(fresh, stores[s])
+                    deltas[s] = _DeltaView(fresh, store)
 
     return SolveResult(
         matrices=materialized_view(),

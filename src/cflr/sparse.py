@@ -1,9 +1,9 @@
 """Sparse Boolean matrices in row- or column-major layout, plus the kernel
-operations the reachability engine is built from: Boolean matrix product in
-both orientations, element-wise union, layout conversion, the block-matrix
-reshapes used for indexed symbol families, a mutable accumulator that
-gathers many products and is then complement-masked, and an in-place merge
-of a disjoint delta into a stored matrix.
+operations the reachability engine is built from: Boolean matrix product
+driven by either operand, element-wise union, layout conversion, the
+block-matrix reshapes used for indexed symbol families, a mutable
+accumulator that gathers many products and is then complement-masked, and
+an in-place merge of a disjoint delta into a stored matrix.
 
 A matrix stores each nonempty line (row in row-major, column in
 column-major) in one of two forms: a sorted duplicate-free list of
@@ -26,7 +26,9 @@ ROW = "row"
 COL = "col"
 
 ROW_BY_ROW = "row-by-row"
-COL_BY_COL = "column-by-column"
+OUTER = "outer"
+# the layouts of the left and the right operand in each orientation
+OPERAND_LAYOUTS = {ROW_BY_ROW: (ROW, ROW), OUTER: (COL, ROW)}
 
 
 @dataclass
@@ -130,10 +132,6 @@ class BoolMat:
                 buckets.setdefault(j, set()).add(i)
         return cls(rows, cols, layout, {k: sorted(v) for k, v in buckets.items()})
 
-    @classmethod
-    def identity(cls, n: int, layout: str = ROW) -> "BoolMat":
-        return cls(n, n, layout, {i: [i] for i in range(n)})
-
     def copy(self) -> "BoolMat":
         """An independent copy in the same form: no line list is shared."""
         if self.bits:
@@ -190,10 +188,6 @@ class BoolMat:
 
     def entry_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries())
-
-    def coordinate_text(self) -> str:
-        """Debug serialization: sorted ``row col`` lines."""
-        return "\n".join(f"{i} {j}" for i, j in sorted(self.entries()))
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -295,8 +289,8 @@ class Accumulator:
         with ``bits`` and as an iterable of positions without.  A matrix of
         this accumulator's shape is added as it is, re-bucketed entry by
         entry when its layout differs.  A row-major n x k*n accumulator of
-        horizontal blocks also takes a k*n x n matrix of vertical blocks:
-        entry (t*n + u, w) goes to (u, t*n + w), as in
+        horizontal blocks also takes a row-major k*n x n matrix of vertical
+        blocks: entry (t*n + u, w) goes to (u, t*n + w), as in
         :func:`vertical_to_horizontal`."""
         if self.bits:
             put = self._bit_sink(rows, cols, layout)
@@ -325,8 +319,8 @@ class Accumulator:
                         else:
                             line.append(k)
 
-        elif layout == ROW:
-            n = self._block_size(rows, cols)
+        else:
+            n = self._block_size(rows, cols, layout)
 
             def put(i, js):
                 u = i % n
@@ -338,27 +332,15 @@ class Accumulator:
                 else:
                     line.extend(moved)
 
-        else:
-            n = self._block_size(rows, cols)
-
-            def put(j, is_):
-                for i in is_:
-                    u = i % n
-                    line = get(u)
-                    if line is None:
-                        lines[u] = [i - u + j]
-                    else:
-                        line.append(i - u + j)
-
         if bits:
             return lambda k, x: put(k, _positions(x))
         return put
 
-    def _block_size(self, rows: int, cols: int) -> int:
-        """n, when a k*n x n matrix of vertical blocks can be added to
-        this n x k*n accumulator; ValueError otherwise."""
+    def _block_size(self, rows: int, cols: int, layout: str = ROW) -> int:
+        """n, when a k*n x n matrix of vertical blocks in ``layout`` can be
+        added to this n x k*n accumulator; ValueError otherwise."""
         n = self.rows
-        if (rows, cols) != (self.cols, n) or self.layout != ROW or (n and self.cols % n):
+        if (rows, cols, layout, self.layout) != (self.cols, n, ROW, ROW) or (n and self.cols % n):
             raise ValueError(
                 f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} "
                 f"{self.layout}-major accumulator"
@@ -384,27 +366,13 @@ class Accumulator:
                     crossed[k] = cget(k, 0) | x
                     self.received += x.bit_count()
 
-        elif layout == ROW:
-            n = self._block_size(rows, cols)
+        else:
+            n = self._block_size(rows, cols, layout)
 
             def put(i, x):
                 u = i % n
                 lines[u] = get(u, 0) | x << (i - u)
                 self.received += x.bit_count()
-
-        else:
-            n = self._block_size(rows, cols)
-            # the slot-t rows of vertical column j, shifted down to 0..n-1,
-            # are column t*n + j of the horizontal blocks
-            full = (1 << n) - 1
-            offsets = range(0, self.cols, n or 1)
-
-            def put(j, x):
-                self.received += x.bit_count()
-                for off in offsets:
-                    part = x >> off & full
-                    if part:
-                        crossed[off + j] = cget(off + j, 0) | part
 
         return put
 
@@ -422,48 +390,50 @@ def spgemm(
     counter: OpCounter | None = None,
     into: Accumulator | None = None,
 ) -> BoolMat | None:
-    """Exact Boolean product a @ b, for operands in either form.
+    """Exact Boolean product a @ b, row-major, for operands in either form
+    in the layouts ``OPERAND_LAYOUTS[orientation]``.
 
-    Row-by-row iterates the left operand's lines (both operands row-major,
-    row-major result); column-by-column iterates the right operand's lines
-    (both column-major, column-major result).  Cost is therefore driven by
-    the operand on the orientation's natural driving side, which is what
-    makes a sparse delta cheap when placed there.  A driving line in bit
-    form is first ANDed with the other operand's key mask, so only its
-    hits are walked; each product line is the OR (bit form) or set union
-    (list form) of the other operand's lines it hits.
+    Row-by-row iterates the left operand's rows.  The outer product
+    iterates the right operand's rows: a @ b is the sum over k of a[:, k]
+    times b[k, :], so row k of b is added to every row i in column k of
+    the column-major a.  Cost is therefore driven by the operand on the
+    orientation's driving side, which is what makes a sparse delta cheap
+    when placed there.  Row by row, a driving line in bit form is first
+    ANDed with b's key mask, so only its hits are walked.  Each product
+    row is the OR (bit form) or set union (list form) of the rows of b it
+    hits and is put once, so both orientations count the same
+    ``scalar_ops`` and put the same entries.
 
-    With ``into`` the product's lines are added to that accumulator, moved
+    With ``into`` the product's rows are added to that accumulator, moved
     to its layout and shape as :meth:`Accumulator.sink` says, and nothing
     is returned.  Without it the product is returned in list form.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape()} @ {b.shape()}")
-    if orientation == ROW_BY_ROW:
-        if a.layout != ROW or b.layout != ROW:
-            raise ValueError("row-by-row requires both operands row-major")
-        driver, other, layout = a, b, ROW
-    elif orientation == COL_BY_COL:
-        if a.layout != COL or b.layout != COL:
-            raise ValueError("column-by-column requires both operands column-major")
-        driver, other, layout = b, a, COL
-    else:
+    if orientation not in OPERAND_LAYOUTS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    target = into if into is not None else Accumulator(a.rows, b.cols, layout)
+    if (a.layout, b.layout) != OPERAND_LAYOUTS[orientation]:
+        raise ValueError(f"{orientation} takes {OPERAND_LAYOUTS[orientation]} operands")
+    target = into if into is not None else Accumulator(a.rows, b.cols)
     sops = 0
     # an empty operand makes an empty product: the driver is not walked,
     # and only the accumulator's shape is checked
     if not (a.nnz and b.nnz):
         if (a.rows, b.cols) != (target.rows, target.cols):
             target._block_size(a.rows, b.cols)
+    elif orientation == OUTER:
+        # product rows are ints when b's lines are, or when they feed a
+        # bit-form accumulator
+        ints = b.bits or target.bits
+        sops = _outer_product(a, b, target.sink(a.rows, b.cols, ROW, ints), ints)
     else:
         # product lines are ints when the other operand's lines are, or
         # when a driver in bit form feeds a bit-form accumulator
-        ints = other.bits or (driver.bits and target.bits)
-        put = target.sink(a.rows, b.cols, layout, ints)
-        oget = other.lines.get
-        if not (driver.bits or other.bits):
-            for i, dline in driver.lines.items():
+        ints = b.bits or (a.bits and target.bits)
+        put = target.sink(a.rows, b.cols, ROW, ints)
+        oget = b.lines.get
+        if not (a.bits or b.bits):
+            for i, dline in a.lines.items():
                 acc: set[int] = set()
                 for k in dline:
                     ol = oget(k)
@@ -473,14 +443,46 @@ def spgemm(
                 if acc:
                     put(i, acc)
         else:
-            sops = _mixed_product(driver, other, put, ints)
+            sops = _mixed_product(a, b, put, ints)
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
     if into is None:
         # every line was put once, without repeats
-        return BoolMat(a.rows, b.cols, layout, {i: sorted(v) for i, v in target.lines.items()})
+        return BoolMat(a.rows, b.cols, ROW, {i: sorted(v) for i, v in target.lines.items()})
     return None
+
+
+def _outer_product(a: BoolMat, b: BoolMat, put, ints: bool) -> int:
+    """The rows of a @ b for a column-major ``a``, built by adding each
+    line k of ``b`` to every row i in column k of ``a``, then put once
+    each: with ``ints`` as ints, else as sets.  Returns the scalar ops."""
+    sops = 0
+    rows: dict = {}
+    get = rows.get
+    aget = a.lines.get
+    hits = ((col, x) for k, x in b.lines.items() if (col := aget(k)))
+    if a.bits:
+        hits = ((_positions(col), x) for col, x in hits)
+    if ints:
+        if not b.bits:
+            hits = ((is_, _bitmask(line)) for is_, line in hits)
+        for is_, x in hits:
+            sops += len(is_) * x.bit_count()
+            for i in is_:
+                rows[i] = get(i, 0) | x
+    else:
+        for is_, line in hits:
+            sops += len(is_) * len(line)
+            for i in is_:
+                row = get(i)
+                if row is None:
+                    rows[i] = set(line)
+                else:
+                    row.update(line)
+    for i, row in rows.items():
+        put(i, row)
+    return sops
 
 
 def _mixed_product(driver: BoolMat, other: BoolMat, put, ints: bool) -> int:
@@ -511,40 +513,26 @@ def _mixed_product(driver: BoolMat, other: BoolMat, put, ints: bool) -> int:
     return sops
 
 
-def _getters(pieces: Iterable[BoolMat], acc: Accumulator, layout: str) -> list:
-    """(line lookup, bit form) of every nonempty piece, each checked to
-    have the accumulator's shape and ``layout``."""
-    out = []
-    for p in pieces:
-        if p.shape() != (acc.rows, acc.cols) or p.layout != layout:
-            raise ValueError(
-                f"mask {p!r} does not match the {acc.rows}x{acc.cols} "
-                f"{layout}-major accumulator"
-            )
-        if p.nnz:
-            out.append((p.lines.get, p.bits))
-    return out
-
-
 def masked(
-    acc: Accumulator,
-    pieces: Iterable[BoolMat],
-    counter: OpCounter | None = None,
-    crossed_pieces: Iterable[BoolMat] = (),
+    acc: Accumulator, pieces: Iterable[BoolMat], counter: OpCounter | None = None
 ) -> BoolMat:
     """The complement-masked result C<not M> of everything gathered in
     ``acc``, in the accumulator's form: each line becomes sorted(set(line)
     - that line of every piece), or in bit form ``line & ~piece_line`` over
     the pieces, and lines left empty are dropped.  The pieces together are
-    M; they share the accumulator's shape and layout, in either form.
-    ``crossed_pieces``, if given, are M again in the other layout: a
-    bit-form accumulator's crossed lines are masked with them before they
-    are turned into its own lines, so only entries new to M are moved.
-    ``acc`` is emptied.  The entries it received count as
+    M; they share the accumulator's shape and layout, in either form.  A
+    bit-form accumulator's crossed lines are first turned into its own
+    lines.  ``acc`` is emptied.  The entries it received count as
     ``union_entries``."""
-    masks = _getters(pieces, acc, acc.layout)
-    if acc.bits:
-        cross_masks = _getters(crossed_pieces, acc, COL if acc.layout == ROW else ROW)
+    masks = []
+    for p in pieces:
+        if p.shape() != (acc.rows, acc.cols) or p.layout != acc.layout:
+            raise ValueError(
+                f"mask {p!r} does not match the {acc.rows}x{acc.cols} "
+                f"{acc.layout}-major accumulator"
+            )
+        if p.nnz:
+            masks.append((p.lines.get, p.bits))
     lines = acc.lines
     if counter is not None:
         counter.union_entries += acc.received if acc.bits else sum(map(len, lines.values()))
@@ -555,10 +543,6 @@ def masked(
         crossed = acc.crossed
         while crossed:
             k, line = crossed.popitem()
-            for mget, bits in cross_masks:
-                got = mget(k)
-                if got:
-                    line &= ~(got if bits else _bitmask(got))
             bit = 1 << k
             for p in _positions(line):
                 lines[p] = get(p, 0) | bit

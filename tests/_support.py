@@ -17,6 +17,15 @@ from cflr.solver import MatrixForest
 from cflr.sparse import BoolMat, ROW
 
 
+def identity(n: int) -> BoolMat:
+    return BoolMat(n, n, ROW, {i: [i] for i in range(n)})
+
+
+def coordinate_text(m: BoolMat) -> str:
+    """Debug serialization: sorted ``row col`` lines."""
+    return "\n".join(f"{i} {j}" for i, j in sorted(m.entries()))
+
+
 def random_graph_text(
     g: Cfg,
     rng: random.Random,

@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,42 @@ from cflr.grammar import (
 )
 from cflr.oracle import oracle_solve
 from _support import naive_general_reach, random_instance, triple_names
+
+
+class TestSymbol:
+    def test_equal_symbols_hash_equal(self):
+        a, b = Symbol("terminal", "call", "f1"), Symbol("terminal", "call", "f1")
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != Symbol("nonterminal", "call", "f1") != Symbol("terminal", "call")
+        assert repr(a) == "call_f1:t"
+
+    def test_replace_and_pickle_rehash(self):
+        a = Symbol("terminal", "call", "f1")
+        b = dataclasses.replace(a, index="f2")
+        assert b == Symbol("terminal", "call", "f2") != a
+        assert hash(b) == hash(Symbol("terminal", "call", "f2"))
+        assert {b: 1}[Symbol("terminal", "call", "f2")] == 1
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+
+    def test_pickle_from_another_hash_seed_rehashes(self):
+        """String hashes differ between processes, so an unpickled symbol
+        must not keep the hash its writer computed."""
+        code = (
+            "import pickle, sys; from cflr.grammar import Symbol; "
+            "sys.stdout.buffer.write(pickle.dumps(Symbol('terminal', 'call', 'f1')))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        data = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1"),
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        got = pickle.loads(data)
+        assert {Symbol("terminal", "call", "f1"): 1}[got] == 1
 
 
 def prod_names(g):

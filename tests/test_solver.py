@@ -17,10 +17,13 @@ from cflr.solver import (
     forest_insert,
     solve,
     _Bundle,
+    _DeltaView,
+    _Store,
     _fold,
 )
 from cflr.semiring import PLAIN
-from cflr.sparse import COL, ROW, BoolMat, convert, union
+from cflr.grammar import nonterminal
+from cflr.sparse import COL, OUTER, ROW, BoolMat, convert, union
 from _support import difference, forest_difference, random_boolmat, random_instance, triple_names
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
@@ -151,6 +154,31 @@ class TestForest:
         for (_, lay), m in f.payloads()[0].copies.items():
             assert m == everything and m.layout == lay and m.nnz == 6
 
+    @pytest.mark.parametrize("n, most", [(12, 40), (1000, 300)])
+    def test_materialized_forest_is_the_union_of_untouched_pieces(self, n, most):
+        """A lazy store's matrix is the union of its forest pieces (in bit
+        form for n=12, in list form for n=1000), and building it changes
+        no piece nor shares a line list with one."""
+        rng = random.Random(29)
+        store = _Store(
+            nonterminal("S"), [(PLAIN, ROW), (PLAIN, COL)], (PLAIN, ROW), n, 0, lazy=True, b=2
+        )
+        assert store.materialized() == BoolMat.empty(n, n)
+        everything = BoolMat.empty(n, n)
+        # falling sizes, so the b=2 forest keeps several pieces
+        for count in (most, most // 8, most // 40, 1):
+            drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+            d = difference(BoolMat.from_entries(n, n, drawn), everything)
+            store.insert(_DeltaView(d, store), None)
+            everything = union(everything, d)
+        pieces = store.pieces((PLAIN, ROW))
+        assert len(pieces) >= 2 and all(p.bits == (n == 12) for p in pieces)
+        before = [(p.copy(), p.nnz) for p in pieces]
+        got = store.materialized()
+        assert got == everything and got.nnz == everything.nnz
+        for line in [] if got.bits else got.lines.values():
+            line.append(n)
+        assert all(p == copy and p.nnz == nnz for p, (copy, nnz) in zip(pieces, before))
 
 class TestSolve:
     def test_empty_graph_no_epsilon(self):
@@ -314,6 +342,34 @@ class TestSolve:
             per_iter[v] = r.counters.spgemm_calls / r.iterations
         assert per_iter["ma1234"] <= 2 * per_iter["ma1"], per_iter
 
+    def test_dual_format_walks_delta_lines_flat_in_chain_length(self, monkeypatch):
+        """Under dual_format the delta drives every product, M_old * delta
+        through the outer product: on a dyck chain the driving lines the
+        products of one iteration walk do not grow with the chain, although
+        M does."""
+        g = ensure_wcnf(preset("dyck"))
+        spgemm = cflr.sparse.spgemm
+        walked: list[list[int]] = []  # per iteration: outer, row-by-row
+
+        def counting_spgemm(a, b, orientation, *args, **kwargs):
+            outer = orientation == OUTER
+            walked[-1][not outer] += len((b if outer else a).lines)
+            return spgemm(a, b, orientation, *args, **kwargs)
+
+        monkeypatch.setattr(cflr.sparse, "spgemm", counting_spgemm)
+        most = {}
+        for n in (64, 256, 1024):
+            walked.clear()
+            r = solve(
+                chain_graph(n), g, VariantFlags.named("ma1234"),
+                iteration_hook=lambda *_: walked.append([0, 0]),
+            )
+            assert r.iterations == len(walked) == n
+            # iteration 1 multiplies by the seeds, the chain's n edges
+            assert sum(walked[0]) <= 2 * n
+            most[n] = [max(w[side] for w in walked[1:]) for side in (0, 1)]
+        assert most[64] == most[256] == most[1024] == [1, 1], most
+
     def test_deadline_raises(self):
         g = ensure_wcnf(preset("dyck"))
         graph = chain_graph(512)
@@ -321,45 +377,47 @@ class TestSolve:
             solve(graph, g, VariantFlags.named("ma"), deadline=time.monotonic())
 
     @pytest.mark.parametrize(
-        "grammar, variant",
+        "grammar, variant, slow",
         [
-            (preset("dyck"), "ma"),
-            (preset("dyck"), "ma1"),
+            (preset("dyck"), "ma", "spgemm"),
+            (preset("dyck"), "ma1", "spgemm"),
             # S is the only result symbol and has two steps: the deadline
             # passes between two products of one symbol
-            (parse_grammar("start: S\nS -> a S | b S | a | b\n"), "ma1"),
+            (parse_grammar("start: S\nS -> a S | b S | a | b\n"), "ma1", "spgemm"),
+            # two unit rules: the deadline passes in the first one
+            (parse_grammar("start: S\nS -> A | B\nA -> a | A a\nB -> b | B b\n"), "ma1", "add"),
         ],
-        ids=["ma", "ma1", "ma1-two-steps-of-one-symbol"],
+        ids=["ma", "ma1", "ma1-two-steps-of-one-symbol", "ma1-unit-rule-step"],
     )
-    def test_deadline_holds_inside_an_iteration(self, monkeypatch, grammar, variant):
-        """The deadline passes during the first product of iteration 1; the
-        solve stops before the next product."""
+    def test_deadline_holds_inside_an_iteration(self, monkeypatch, grammar, variant, slow):
+        """The deadline passes during the first product (or the first
+        unit-rule step) of iteration 1; the solve stops before the next
+        one."""
         g = ensure_wcnf(grammar)
         graph = chain_graph(16)
-        full = solve(graph, g, VariantFlags.named(variant))
-        per_iteration = full.counters.spgemm_calls // full.iterations
+        owner = cflr.sparse if slow == "spgemm" else cflr.sparse.Accumulator
+        original = getattr(owner, slow)
         now = [0.0]
-        products = []
+        calls = []
         iterations = []
-        spgemm = cflr.sparse.spgemm
 
-        def slow_spgemm(*args, **kwargs):
-            products.append(1)
-            now[0] = 10.0
-            return spgemm(*args, **kwargs)
+        def slow_call(*args, **kwargs):
+            calls.append(iterations[-1])
+            now[0] += 10.0
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(cflr.solver.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(cflr.sparse, "spgemm", slow_spgemm)
+        monkeypatch.setattr(owner, slow, slow_call)
+        hook = lambda it, *_: iterations.append(it)  # noqa: E731
+        solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
+        per_iteration = calls.count(1)
+        now[0] = 0.0
+        calls.clear()
+        iterations.clear()
         with pytest.raises(SolveTimeout):
-            solve(
-                graph,
-                g,
-                VariantFlags.named(variant),
-                deadline=5.0,
-                iteration_hook=lambda it, *_: iterations.append(it),
-            )
+            solve(graph, g, VariantFlags.named(variant), deadline=5.0, iteration_hook=hook)
         assert iterations == [1]
-        assert 1 == len(products) < per_iteration
+        assert 1 == len(calls) < per_iteration
 
     def test_right_transform_is_built_once_per_operand(self, monkeypatch):
         """A ``c -> x y_i`` rule collapses its right operand.  While x's

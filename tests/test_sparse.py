@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cflr.sparse import (
     COL,
-    COL_BY_COL,
+    OPERAND_LAYOUTS,
+    OUTER,
     ROW,
     ROW_BY_ROW,
     Accumulator,
@@ -23,7 +24,7 @@ from cflr.sparse import (
     union,
     vertical_to_horizontal,
 )
-from _support import difference, from_dense, random_boolmat, to_dense
+from _support import coordinate_text, difference, from_dense, identity, random_boolmat, to_dense
 
 
 def shuffled(m, rng):
@@ -45,7 +46,7 @@ def entry_lists(rows, cols):
 class TestSpgemm:
     def test_identity(self):
         x = BoolMat.from_entries(3, 4, [(0, 1), (2, 3), (2, 0)])
-        assert spgemm(BoolMat.identity(3), x) == x
+        assert spgemm(identity(3), x) == x
 
     def test_single_path_composition(self):
         a = BoolMat.from_entries(3, 3, [(0, 1)])
@@ -61,6 +62,10 @@ class TestSpgemm:
         b = BoolMat.from_entries(3, 3, [(1, 2)])
         with pytest.raises(ValueError):
             spgemm(a, b, ROW_BY_ROW)
+        with pytest.raises(ValueError):
+            spgemm(convert(a, ROW), b, OUTER)
+        with pytest.raises(ValueError):
+            spgemm(a, convert(b, COL), OUTER)
 
     @given(
         st.integers(1, 32),
@@ -74,9 +79,9 @@ class TestSpgemm:
         b = random_boolmat(rng, m, p, density=0.25)
         want = from_dense(to_dense(a) @ to_dense(b))
         assert spgemm(a, b, ROW_BY_ROW) == want
-        got_col = spgemm(convert(a, COL), convert(b, COL), COL_BY_COL)
-        assert got_col.layout == COL
-        assert got_col == want
+        got_outer = spgemm(convert(a, COL), b, OUTER)
+        assert got_outer.layout == ROW
+        assert got_outer == want
 
     def test_inputs_unmodified(self):
         a = random_boolmat(random.Random(0), 8, 8)
@@ -116,23 +121,26 @@ class TestSpgemm:
 
             __iter__ = values = items
 
-        for orientation, lay in ((ROW_BY_ROW, ROW), (COL_BY_COL, COL)):
-            full = BoolMat.from_entries(4, 4, [(0, 1), (2, 3), (3, 0)], layout=lay)
+        for orientation in (ROW_BY_ROW, OUTER):
+            full = BoolMat.from_entries(4, 4, [(0, 1), (2, 3), (3, 0)])
             full.lines = Unwalkable(full.lines)
-            empty = BoolMat.empty(4, 4, lay)
-            # the driver is the left operand row-by-row, the right one column-by-column
-            a, b = (full, empty) if orientation == ROW_BY_ROW else (empty, full)
+            # the driver is the left operand row-by-row, the right one in
+            # the outer product
+            if orientation == ROW_BY_ROW:
+                a, b, mismatched = full, BoolMat.empty(4, 4), (full, BoolMat.empty(3, 4))
+            else:
+                a, b, mismatched = BoolMat.empty(4, 4, COL), full, (BoolMat.empty(4, 3, COL), full)
             c = OpCounter()
             got = spgemm(a, b, orientation, c)
-            assert got.nnz == 0 and got.layout == lay and not got.lines
+            assert got.nnz == 0 and got.layout == ROW and not got.lines
             assert (c.spgemm_calls, c.scalar_ops) == (1, 0)
-            acc = Accumulator(4, 4, lay)
+            acc = Accumulator(4, 4)
             assert spgemm(a, b, orientation, c, into=acc) is None
             assert not acc.lines and c.spgemm_calls == 2
             with pytest.raises(ValueError):
-                spgemm(full, BoolMat.empty(3, 4, lay), orientation, c)
+                spgemm(*mismatched, orientation, c)
             with pytest.raises(ValueError):
-                spgemm(a, b, orientation, c, into=Accumulator(4, 5, lay))
+                spgemm(a, b, orientation, c, into=Accumulator(4, 5))
             assert c.spgemm_calls == 2  # a call that raised is not counted
 
 
@@ -187,10 +195,6 @@ class TestUnionDifference:
             difference(BoolMat.empty(2, 2), BoolMat.empty(2, 3))
 
 
-def _operand_layout(orientation):
-    return ROW if orientation == ROW_BY_ROW else COL
-
-
 def _union_minus(products, to_target, pieces, rows, cols, layout):
     """Reference for gather-then-mask: union the products, each converted
     to the target, then subtract every piece."""
@@ -216,7 +220,7 @@ class TestGatherAndMask:
 
     @pytest.mark.parametrize(
         "orientation, target",
-        [(ROW_BY_ROW, ROW), (COL_BY_COL, ROW), (ROW_BY_ROW, COL), (COL_BY_COL, COL)],
+        [(ROW_BY_ROW, ROW), (OUTER, ROW), (ROW_BY_ROW, COL), (OUTER, COL)],
     )
     @given(
         n=st.integers(1, 10),
@@ -226,11 +230,11 @@ class TestGatherAndMask:
     )
     @settings(max_examples=60, deadline=None)
     def test_plain_products(self, orientation, target, n, count, masks, rng):
-        lay = _operand_layout(orientation)
+        la, lb = OPERAND_LAYOUTS[orientation]
         pairs = [
             (
-                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
-                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.5, la),
+                random_boolmat(rng, n, n, rng.random() * 0.5, lb),
             )
             for _ in range(count)
         ]
@@ -251,7 +255,7 @@ class TestGatherAndMask:
         _assert_same(got, want)
         assert not acc.lines  # masking empties the accumulator
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
     @given(
         n=st.integers(1, 6),
         k=st.integers(1, 3),
@@ -264,11 +268,11 @@ class TestGatherAndMask:
         self, orientation, n, k, count, masks, rng
     ):
         # keep-l products V[c] = V[x] . plain, plus horizontal unit pieces
-        lay = _operand_layout(orientation)
+        la, lb = OPERAND_LAYOUTS[orientation]
         pairs = [
             (
-                random_boolmat(rng, k * n, n, rng.random() * 0.5, lay),
-                random_boolmat(rng, n, n, rng.random() * 0.5, lay),
+                random_boolmat(rng, k * n, n, rng.random() * 0.5, la),
+                random_boolmat(rng, n, n, rng.random() * 0.5, lb),
             )
             for _ in range(count)
         ]
@@ -470,8 +474,8 @@ class TestBlocks:
 class TestDebugSerialization:
     def test_golden_coordinate_text(self):
         m = BoolMat.from_entries(4, 4, [(3, 0), (0, 2), (0, 1)])
-        assert m.coordinate_text() == "0 1\n0 2\n3 0"
-        assert convert(m, COL).coordinate_text() == "0 1\n0 2\n3 0"
+        assert coordinate_text(m) == "0 1\n0 2\n3 0"
+        assert coordinate_text(convert(m, COL)) == "0 1\n0 2\n3 0"
 
 
 class TestUnorderedKeys:
@@ -497,11 +501,14 @@ class TestUnorderedKeys:
         _assert_same(union(sa, sb), union(a, b))
         _assert_same(difference(sa, sb), difference(a, b))
         _assert_same(difference(sa, sbo), difference(a, bo))
-        for orientation, lay in ((ROW_BY_ROW, ROW), (COL_BY_COL, COL)):
-            x, sx = (a, sa) if lay == layout else (convert(a, lay), convert(sa, lay))
-            y, sy = (b, sb) if lay == layout else (convert(b, lay), convert(sb, lay))
+        for orientation in (ROW_BY_ROW, OUTER):
+            la, lb = OPERAND_LAYOUTS[orientation]
+            x, sx = convert(a, la), convert(sa, la)
+            y, sy = convert(b, lb), convert(sb, lb)
             _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
-            _assert_same(spgemm(sy, sx, orientation), spgemm(y, x, orientation))
+            x, sx = convert(b, la), convert(sb, la)
+            y, sy = convert(a, lb), convert(sa, lb)
+            _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
         got = []
         for x, y in ((sa, sb), (a, b)):
             acc = Accumulator(n, n, layout)
@@ -532,7 +539,7 @@ class TestUnorderedKeys:
         acc.add(a)
         results = [
             ((a, b), spgemm(a, b)),
-            ((ac, bc), spgemm(ac, bc, COL_BY_COL)),
+            ((ac, b), spgemm(ac, b, OUTER)),
             ((a, e), spgemm(a, e)),
             ((acc, b), masked(acc, [b])),
             ((a, b), union(a, b)),
@@ -602,7 +609,7 @@ class TestBitForm:
         _assert_same(block_diagonalize(vb, n, k), block_diagonalize(v, n, k))
         _assert_same(vertical_to_horizontal(vb, n, k), vertical_to_horizontal(v, n, k))
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
     @pytest.mark.parametrize("driver_bits", FORMS)
     @pytest.mark.parametrize("other_bits", FORMS)
     @given(
@@ -613,15 +620,15 @@ class TestBitForm:
     )
     @settings(max_examples=25, deadline=None)
     def test_products_and_masks(self, orientation, driver_bits, other_bits, n, count, masks, rng):
-        lay = _operand_layout(orientation)
+        la, lb = OPERAND_LAYOUTS[orientation]
         pairs = [
             (
-                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
-                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
+                random_boolmat(rng, n, n, rng.random() * 0.6, la),
+                random_boolmat(rng, n, n, rng.random() * 0.6, lb),
             )
             for _ in range(count)
         ]
-        # the left operand drives row-by-row, the right one column-by-column
+        # the left operand drives row-by-row, the right one the outer product
         forms = (driver_bits, other_bits) if orientation == ROW_BY_ROW else (other_bits, driver_bits)
         want_c = OpCounter()
         want = [spgemm(a, b, orientation, want_c) for a, b in pairs]
@@ -650,7 +657,7 @@ class TestBitForm:
             _assert_same(bit.in_form(False), ref)
             assert ref == _union_minus(want + units, lambda p: convert(p, target), pieces, n, n, target)
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, COL_BY_COL])
+    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
     @given(
         n=st.integers(1, 6),
         k=st.integers(1, 3),
@@ -659,11 +666,11 @@ class TestBitForm:
     )
     @settings(max_examples=40, deadline=None)
     def test_vertical_products_into_a_bit_accumulator(self, orientation, n, k, masks, rng):
-        lay = _operand_layout(orientation)
+        la, lb = OPERAND_LAYOUTS[orientation]
         pairs = [
             (
-                random_boolmat(rng, k * n, n, rng.random() * 0.6, lay),
-                random_boolmat(rng, n, n, rng.random() * 0.6, lay),
+                random_boolmat(rng, k * n, n, rng.random() * 0.6, la),
+                random_boolmat(rng, n, n, rng.random() * 0.6, lb),
             )
             for _ in range(rng.randrange(1, 4))
         ]
@@ -678,35 +685,80 @@ class TestBitForm:
                 spgemm(*in_forms((a, b), forms), orientation, c, into=acc)
             for u in units:
                 acc.add(u.in_form(acc_bits))
-            # a bit accumulator may also mask its crossed lines early
-            crossed = [convert(p, COL) for p in pieces] if acc_bits and rng.random() < 0.5 else ()
-            results.append((masked(acc, in_forms(pieces, [acc_bits] * masks), c, crossed), c))
+            results.append((masked(acc, in_forms(pieces, [acc_bits] * masks), c), c))
         (ref, ref_c), (bit, bit_c) = results
         assert ref_c == bit_c
         _assert_same(bit.in_form(False), ref)
 
+    @pytest.mark.parametrize("a_bits", FORMS)
+    @pytest.mark.parametrize("b_bits", FORMS)
+    @given(
+        n=st.integers(1, 7),
+        k=st.integers(1, 3),
+        vertical=st.booleans(),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_outer_matches_row_by_row(self, a_bits, b_bits, n, k, vertical, rng):
+        """The outer product of a column-major a and a row-major b gives
+        row-by-row's entries, scalar ops and received entries, returned or
+        put into a list or bit accumulator, plain or as vertical blocks
+        moved into a horizontal accumulator."""
+        pairs = [
+            (
+                random_boolmat(rng, k * n if vertical else n, n, rng.random() * 0.6),
+                random_boolmat(rng, n, n, rng.random() * 0.6),
+            )
+            for _ in range(rng.randrange(1, 4))
+        ]
+        operands = {
+            ROW_BY_ROW: [in_forms(p, (a_bits, b_bits)) for p in pairs],
+            OUTER: [in_forms((convert(a, COL), b), (a_bits, b_bits)) for a, b in pairs],
+        }
+        target = ROW if vertical else rng.choice((ROW, COL))
+        shape = (n, k * n) if vertical else (n, n)
+        pieces = [random_boolmat(rng, *shape, rng.random() * 0.6, target) for _ in range(2)]
+        for acc_bits in FORMS:
+            results = {}
+            for orientation, ops in operands.items():
+                c = OpCounter()
+                got = [spgemm(a, b, orientation, c) for a, b in ops]
+                acc = Accumulator(*shape, target, bits=acc_bits)
+                for a, b in ops:
+                    assert spgemm(a, b, orientation, c, into=acc) is None
+                results[orientation] = (got, masked(acc, pieces, c), c)
+            (want, want_mask, want_c), (got, got_mask, got_c) = results.values()
+            assert got_c == want_c
+            for g, w in zip(got, want):
+                _assert_same(g, w)
+            assert got_mask.bits == want_mask.bits == acc_bits
+            assert got_mask.lines == want_mask.lines
+
     @pytest.mark.parametrize("target", [ROW, COL])
     @given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_crossed_lines_masked_in_their_own_layout(self, target, n, rng):
-        """Masking the crossed lines of a bit accumulator by M in their
-        own layout first keeps exactly what masking after the move does."""
+    def test_crossed_lines_are_moved_then_masked(self, target, n, rng):
+        """A bit accumulator keeps lines of the other layout apart and
+        moves them once, when it is masked: it keeps what a list
+        accumulator keeps and counts the same entries."""
         other = COL if target == ROW else ROW
         products = [random_boolmat(rng, n, n, rng.random() * 0.6, other) for _ in range(3)]
         pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(2)]
         results = []
-        for crossed in ((), [convert(p, other).in_form(rng.random() < 0.5) for p in pieces]):
+        for acc_bits in FORMS:
             c = OpCounter()
-            acc = Accumulator(n, n, target, bits=True)
+            acc = Accumulator(n, n, target, bits=acc_bits)
             for p in products:
                 acc.add(p.in_form(rng.random() < 0.5))
             assert bool(acc) == any(p.nnz for p in products)
-            results.append((masked(acc, pieces, c, crossed), c))
-        (plain, plain_c), (early, early_c) = results
-        assert plain_c == early_c
-        assert plain.bits and early.bits and plain.lines == early.lines
+            assert not (acc_bits and acc.lines)  # held apart until the mask
+            results.append((masked(acc, in_forms(pieces, [rng.random() < 0.5 for _ in pieces]), c), c))
+            assert not acc and not acc.crossed
+        (ref, ref_c), (bit, bit_c) = results
+        assert ref_c == bit_c
+        assert bit.bits and bit.in_form(False).lines == ref.lines
         with pytest.raises(ValueError):
-            masked(Accumulator(n, n, target, bits=True), [], None, pieces)
+            masked(Accumulator(n, n, target, bits=True), [convert(p, other) for p in pieces])
 
     @pytest.mark.parametrize("layout", [ROW, COL])
     @pytest.mark.parametrize("d_bits", FORMS)
@@ -745,14 +797,14 @@ class TestBitForm:
         n, k = 4, 2
         a = BoolMat.from_entries(n, n, [(0, 1), (2, 3), (3, 3)]).in_form(True)
         b = BoolMat.from_entries(n, n, [(1, 2), (3, 0)]).in_form(True)
-        ac, bc = convert(a, COL), convert(b, COL)
+        ac = convert(a, COL)
         h = block_offset(a, 1, k, "horizontal").in_form(True)
         v = horizontal_to_vertical(h, n, k).in_form(True)
         acc = Accumulator(n, n, bits=True)
         acc.add(a)
         results = [
             ((a, b), spgemm(a, b)),
-            ((ac, bc), spgemm(ac, bc, COL_BY_COL)),
+            ((ac, b), spgemm(ac, b, OUTER)),
             ((acc, b), masked(acc, [b])),
             ((a, b), union(a, b)),
             ((a, b.in_form(False)), union(a, b.in_form(False))),
