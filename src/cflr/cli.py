@@ -186,8 +186,11 @@ def _write(path: str | None, text: str, default_stream) -> None:
     elif path is None:
         stream = default_stream
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return
     stream.write(text)
     stream.flush()

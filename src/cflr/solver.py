@@ -374,12 +374,17 @@ def solve(
         s: (use_blocks and g_run.is_indexed_symbol(s)) for s in syms
     }
 
+    results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     # which (representation, layout) copies each symbol's store must keep;
-    # under dual_format M_old * delta reads M's column-major copy
-    left_lay = COL if flags.dual_format else ROW
+    # under dual_format M_old * delta reads M's column-major copy, which
+    # only a right operand that some step produces can make non-empty: any
+    # other has a delta only in the first iteration, when M_old is empty
     needs: dict[Symbol, set[_StoreKey]] = {s: set() for s in syms}
     for st in plan.bin_steps:
-        needs[st.left[0]].add((st.left[1], left_lay))
+        if not flags.dual_format:
+            needs[st.left[0]].add((st.left[1], ROW))
+        elif st.right[0] in results:
+            needs[st.left[0]].add((st.left[1], COL))
         needs[st.right[0]].add((st.right[1], ROW))
     for ust in plan.unit_steps:
         needs[ust.source[0]].add((ust.source[1], ROW))
@@ -414,7 +419,6 @@ def solve(
     steps_by_result: dict[Symbol, list[BinStep]] = {}
     for st in plan.bin_steps:
         steps_by_result.setdefault(st.result[0], []).append(st)
-    results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     result_syms = [s for s in syms if s in results]
 
     monotonic = time.monotonic
@@ -427,19 +431,26 @@ def solve(
     deltas: dict[Symbol, _DeltaView] = {
         s: _DeltaView(m, stores[s]) for s, m in init_canonical.items() if m.nnz
     }
-    # one empty operand per key for symbols without a delta: only read
+    # one empty operand per key, for symbols without a delta and for left
+    # copies that are not kept: only read
     empties: dict[_StoreKey, BoolMat] = {}
 
+    def empty(repr_: str, layout: str) -> BoolMat:
+        if (repr_, layout) not in empties:
+            empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
+        return empties[repr_, layout]
+
     def stored(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
-        return stores[sym].pieces((repr_, layout))
+        store = stores[sym]
+        if (repr_, layout) in store.keys:
+            return store.pieces((repr_, layout))
+        # a left copy that is not kept (see needs): one empty stand-in per
+        # piece, so the products are still formed and counted
+        return [empty(repr_, layout)] * (1 if store.forest is None else len(store.forest))
 
     def delta_side(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
         dv = deltas.get(sym)
-        if dv is not None:
-            return [dv.copy(repr_, layout)]
-        if (repr_, layout) not in empties:
-            empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
-        return [empties[repr_, layout]]
+        return [empty(repr_, layout) if dv is None else dv.copy(repr_, layout)]
 
     # right operands (and unit-rule sources) under their transform, which
     # is a collapse, built once per operand and iteration: a delta's copy

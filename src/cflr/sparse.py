@@ -60,12 +60,14 @@ class OpCounter:
 
 
 def _positions(x: int) -> list[int]:
-    """The set bits of ``x``, ascending."""
+    """The set bits of ``x``, ascending.  The walk clears the top bit, so
+    each step makes ints no wider than what is left of ``x``."""
     out = []
     while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+        p = x.bit_length() - 1
+        out.append(p)
+        x ^= 1 << p
+    out.reverse()
     return out
 
 

@@ -184,6 +184,22 @@ def test_bad_numeric_flag_is_one_line_usage_error(argv, capsys):
     assert captured.err.startswith("cflr: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--graph", "chain(4)", "--output", "{bad}", "--report", "{ok}"],
+        ["solve", "--graph", "chain(4)", "--output", "{ok}", "--report", "{bad}"],
+        ["bench", "--graph", "chain(4)", "--variants", "ma1", "--reps", "1", "--report", "{bad}"],
+    ],
+)
+def test_unwritable_path_is_one_line_input_error(argv, tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "x.txt")
+    argv = [a.format(bad=bad, ok=tmp_path / "ok.txt") for a in argv]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"cflr: cannot write {bad}: No such file or directory\n"
+
+
 class TestCheckCommand:
     def test_all_variants_agree(self, dyck_path_graph, dyck_grammar_file):
         rc = main(

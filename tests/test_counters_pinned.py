@@ -6,7 +6,10 @@ values recorded below.  A change to the engine's data layout or kernels
 must leave all of them exactly as they are.  The cases are random(40, 90,
 3) graphs for every preset, a bracket chain whose stored lines stay as
 position lists, and a transitive closure whose stored lines switch to bit
-rows partway through the solve.
+rows partway through the solve.  Under dual_format a left operand's
+column-major copy is dropped where M_old * delta cannot read it, and the
+products it fed are still formed, against empty stand-ins: the last tests
+check the premise that keeps the counters unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import pytest
 from cflr import PRESET_NAMES, VariantFlags, ensure_wcnf, load_graph, preset, solve, solver
 from cflr.grammar import parse_grammar
 from cflr.graph import chain_graph
-from cflr.semiring import PLAIN
-from cflr.sparse import ROW
+from cflr import sparse
+from cflr.semiring import HBLOCK, PLAIN, build_rule_plan
+from cflr.sparse import COL, OUTER, ROW
 
 from _support import sized_graph_text
 
@@ -67,11 +71,11 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('fsjpt:1', 'ma'): ('bdc5c0932f7dd35a', 76, 229, 456, 4),
     ('fsjpt:1', 'ma1'): ('bdc5c0932f7dd35a', 152, 61, 291, 4),
     ('fsjpt:1', 'ma14'): ('bdc5c0932f7dd35a', 88, 61, 333, 4),
-    ('fsjpt:1', 'ma1234'): ('bdc5c0932f7dd35a', 63, 61, 100, 4),
+    ('fsjpt:1', 'ma1234'): ('bdc5c0932f7dd35a', 63, 61, 92, 4),
     ('fsjpt:2', 'ma'): ('fea8b44c9e6260f3', 114, 401, 642, 6),
     ('fsjpt:2', 'ma1'): ('fea8b44c9e6260f3', 228, 74, 315, 6),
     ('fsjpt:2', 'ma14'): ('fea8b44c9e6260f3', 132, 74, 355, 6),
-    ('fsjpt:2', 'ma1234'): ('fea8b44c9e6260f3', 126, 74, 119, 6),
+    ('fsjpt:2', 'ma1234'): ('fea8b44c9e6260f3', 126, 74, 106, 6),
     ('fsjpt-opt:1', 'ma'): ('00551bbf8cdb56f4', 104, 97, 213, 4),
     ('fsjpt-opt:1', 'ma1'): ('00551bbf8cdb56f4', 208, 26, 142, 4),
     ('fsjpt-opt:1', 'ma14'): ('00551bbf8cdb56f4', 80, 26, 184, 4),
@@ -83,11 +87,11 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('fica:1', 'ma'): ('cc0f2192d820c87f', 200, 83683, 43052, 25),
     ('fica:1', 'ma1'): ('cc0f2192d820c87f', 400, 6366, 7767, 25),
     ('fica:1', 'ma14'): ('cc0f2192d820c87f', 400, 6366, 7767, 25),
-    ('fica:1', 'ma1234'): ('cc0f2192d820c87f', 514, 6366, 8123, 25),
+    ('fica:1', 'ma1234'): ('cc0f2192d820c87f', 514, 6366, 7926, 25),
     ('fica:2', 'ma'): ('a31c5506928ff5a5', 192, 36706, 27554, 24),
     ('fica:2', 'ma1'): ('a31c5506928ff5a5', 384, 2439, 4105, 24),
     ('fica:2', 'ma14'): ('a31c5506928ff5a5', 384, 2439, 4105, 24),
-    ('fica:2', 'ma1234'): ('a31c5506928ff5a5', 488, 2439, 4076, 24),
+    ('fica:2', 'ma1234'): ('a31c5506928ff5a5', 488, 2439, 3992, 24),
     ('fica-opt:1', 'ma'): ('c5e38c6c9d2520a3', 80, 9802, 5313, 10),
     ('fica-opt:1', 'ma1'): ('c5e38c6c9d2520a3', 160, 2102, 2305, 10),
     ('fica-opt:1', 'ma14'): ('c5e38c6c9d2520a3', 160, 2102, 2305, 10),
@@ -99,27 +103,27 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('fsca:1', 'ma'): ('13c26270b575786c', 120, 2697, 2844, 10),
     ('fsca:1', 'ma1'): ('13c26270b575786c', 240, 368, 858, 10),
     ('fsca:1', 'ma14'): ('13c26270b575786c', 160, 368, 892, 10),
-    ('fsca:1', 'ma1234'): ('13c26270b575786c', 171, 368, 584, 10),
+    ('fsca:1', 'ma1234'): ('13c26270b575786c', 171, 368, 560, 10),
     ('fsca:2', 'ma'): ('3fb5fc85ef8e154b', 168, 6603, 5913, 14),
     ('fsca:2', 'ma1'): ('3fb5fc85ef8e154b', 336, 724, 1377, 14),
     ('fsca:2', 'ma14'): ('3fb5fc85ef8e154b', 224, 724, 1404, 14),
-    ('fsca:2', 'ma1234'): ('3fb5fc85ef8e154b', 257, 724, 1133, 14),
+    ('fsca:2', 'ma1234'): ('3fb5fc85ef8e154b', 257, 724, 1068, 14),
     ('fsca-wcnf:1', 'ma'): ('9c4db93745c248ad', 96, 2329, 2378, 8),
     ('fsca-wcnf:1', 'ma1'): ('9c4db93745c248ad', 192, 368, 757, 8),
     ('fsca-wcnf:1', 'ma14'): ('9c4db93745c248ad', 128, 368, 791, 8),
-    ('fsca-wcnf:1', 'ma1234'): ('9c4db93745c248ad', 134, 368, 577, 8),
+    ('fsca-wcnf:1', 'ma1234'): ('9c4db93745c248ad', 134, 368, 556, 8),
     ('fsca-wcnf:2', 'ma'): ('be5f046988a66a8a', 132, 5405, 4738, 11),
     ('fsca-wcnf:2', 'ma1'): ('be5f046988a66a8a', 264, 724, 1214, 11),
     ('fsca-wcnf:2', 'ma14'): ('be5f046988a66a8a', 176, 724, 1241, 11),
-    ('fsca-wcnf:2', 'ma1234'): ('be5f046988a66a8a', 193, 724, 1169, 11),
+    ('fsca-wcnf:2', 'ma1234'): ('be5f046988a66a8a', 193, 724, 1093, 11),
     ('cscvf:1', 'ma'): ('8c47927f88b82a8a', 49, 3572, 1986, 7),
     ('cscvf:1', 'ma1'): ('8c47927f88b82a8a', 98, 698, 878, 7),
     ('cscvf:1', 'ma14'): ('8c47927f88b82a8a', 42, 698, 934, 7),
-    ('cscvf:1', 'ma1234'): ('8c47927f88b82a8a', 42, 698, 872, 7),
+    ('cscvf:1', 'ma1234'): ('8c47927f88b82a8a', 42, 698, 819, 7),
     ('cscvf:2', 'ma'): ('6a3e1c3e32c0572d', 91, 18598, 6406, 13),
     ('cscvf:2', 'ma1'): ('6a3e1c3e32c0572d', 182, 3427, 2797, 13),
     ('cscvf:2', 'ma14'): ('6a3e1c3e32c0572d', 78, 3427, 2856, 13),
-    ('cscvf:2', 'ma1234'): ('6a3e1c3e32c0572d', 84, 3427, 3227, 13),
+    ('cscvf:2', 'ma1234'): ('6a3e1c3e32c0572d', 84, 3427, 2982, 13),
     ('cscvf-wcnf:1', 'ma'): ('7da4cf6fb82d217e', 72, 1811, 1956, 9),
     ('cscvf-wcnf:1', 'ma1'): ('7da4cf6fb82d217e', 144, 267, 614, 9),
     ('cscvf-wcnf:1', 'ma14'): ('7da4cf6fb82d217e', 72, 267, 695, 9),
@@ -180,3 +184,62 @@ def test_switched_copies_keep_every_piece_in_bit_form(monkeypatch, variant):
     _, got = measure("fsca-wcnf:1", variant)
     assert got == PINNED["fsca-wcnf:1", variant]
     assert any(sym.name() == "M" and key == (PLAIN, ROW) for sym, key in switched)
+
+
+def test_dual_format_keeps_column_copies_only_where_m_old_delta_reads_them(monkeypatch):
+    """A left operand keeps a column-major copy only for a step whose right
+    operand some step produces.  Any other right operand (a terminal, or a
+    normal-form symbol like ``b#t`` that derives one) has a delta only in
+    iteration 1, when M_old is empty, so M_old * delta never reads that
+    copy."""
+    keys = {}
+    init = solver._Store.__init__
+
+    def recording(store, sym, *args):
+        init(store, sym, *args)
+        keys[sym.name()] = set(store.keys)
+
+    monkeypatch.setattr(solver._Store, "__init__", recording)
+    # M -> DV d, V -> FV_i f_i and A_bar -> M a_bar read no column copy;
+    # V -> V A and V -> A_bar V do
+    assert measure("fsca-wcnf:1", "ma1234")[1] == PINNED["fsca-wcnf:1", "ma1234"]
+    assert keys["DV"] == keys["M"] == {(PLAIN, ROW)}
+    assert keys["FV_i"] == {(HBLOCK, ROW)}
+    assert (PLAIN, COL) in keys["V"] and (PLAIN, COL) in keys["A_bar"]
+    # S -> S#1 b#t: S#1 is stored, and accumulated, row-major
+    assert measure("chain", "ma1234")[1] == PINNED["chain", "ma1234"]
+    assert keys["S#1"] == {(PLAIN, ROW)}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_products_against_dropped_column_copies_are_empty(monkeypatch, name):
+    """Under ma1234 no symbol outside the results of the rule plan has a
+    delta after iteration 1, and every M_old * delta formed against an
+    empty stand-in for a dropped column copy has an empty right operand
+    too.  Forest pieces are never empty, so an outer product with an empty
+    left operand is one against a stand-in."""
+    g, graph = case(name)
+    plan = build_rule_plan(g, g.is_indexed)
+    results = {st.result[0] for st in plan.bin_steps} | {u.result[0] for u in plan.unit_steps}
+    late = set()  # symbols with a delta after iteration 1
+    stand_in_rights = []  # the right operand's nnz of each stand-in product
+    spgemm = sparse.spgemm
+
+    def recording(a, b, orientation, *args, **kwargs):
+        if orientation == OUTER and not a.nnz:
+            stand_in_rights.append(b.nnz)
+        return spgemm(a, b, orientation, *args, **kwargs)
+
+    def hook(iteration, m_old, delta, m):
+        if iteration > 1:
+            late.update(sym for (sym, _), d in delta.mats.items() if d.nnz)
+
+    monkeypatch.setattr(sparse, "spgemm", recording)
+    r = solve(graph, g, VariantFlags.named("ma1234"), iteration_hook=hook)
+    assert late <= results, late - results
+    assert not any(stand_in_rights)
+    # a step whose right operand is not produced, and whose left operand
+    # keeps no column copy for another step, multiplies by stand-ins
+    read = {st.left for st in plan.bin_steps if st.right[0] in results}
+    if r.iterations > 1 and any(st.left not in read for st in plan.bin_steps):
+        assert stand_in_rights

@@ -18,6 +18,7 @@ from cflr.sparse import (
     block_offset,
     convert,
     horizontal_to_vertical,
+    _positions,
     masked,
     merge_into,
     spgemm,
@@ -792,6 +793,20 @@ class TestBitForm:
             for line in mf.lines.values():
                 line.append(rows + cols)
             assert df.lines == d_lines  # m shares no list with d
+
+    # 0, single bits and ints as wide as the widest stored lines (an
+    # indexed family's horizontal rows run to some 6,000 bits)
+    @given(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 6000).map(lambda p: 1 << p),
+            st.sets(st.integers(0, 6000)).map(lambda ps: sum(1 << p for p in ps)),
+            st.integers(0, (1 << 6000) - 1),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positions_are_the_set_bits_ascending(self, x):
+        assert _positions(x) == [p for p in range(x.bit_length()) if x >> p & 1]
 
     def test_every_result_owns_its_dict(self):
         n, k = 4, 2
