@@ -11,6 +11,7 @@ import re
 import statistics
 import sys
 import time
+from contextlib import ExitStack
 
 try:
     import resource
@@ -55,11 +56,23 @@ class _Parser(argparse.ArgumentParser):
 _MINIMUMS = {"b": 2, "reps": 1, "timeout_secs": 0, "oracle_limit": 0}
 
 
-def _bad_number(args) -> str | None:
+def _variants(args) -> list[str]:
+    return [v.strip() for v in args.variants.split(",") if v.strip()]
+
+
+def _bad_usage(args) -> str | None:
+    """The problem with the numeric flags or the variant list, if any."""
     for attr, low in _MINIMUMS.items():
         value = getattr(args, attr, None)
         if value is not None and not value >= low:  # NaN fails too
             return f"--{attr.replace('_', '-')} must be at least {low}, got {value}"
+    if getattr(args, "variants", None) is not None:
+        names = _variants(args)
+        if not names or not set(names) <= set(VARIANT_NAMES):
+            return (
+                f"--variants needs one or more of {', '.join(VARIANT_NAMES)}, "
+                f"got {args.variants!r}"
+            )
     return None
 
 
@@ -91,7 +104,7 @@ def _load_grammar(args) -> tuple[WcnfGrammar, str]:
         try:
             with open(args.grammar, "r", encoding="utf-8") as fh:
                 cfg = parse_grammar(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliInputError(f"cannot read grammar: {exc}") from exc
         return ensure_wcnf(cfg), args.grammar
     if args.graph and _SYNTHETIC.match(args.graph):
@@ -117,7 +130,7 @@ def _load_graph(args, g: WcnfGrammar) -> tuple[LabeledGraph, str]:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read graph: {exc}") from exc
     return load_graph(text, g, index_separator=args.index_separator), spec
 
@@ -180,29 +193,36 @@ def _report_record(
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str | None, text: str, default_stream) -> None:
-    if path == "-":
-        stream = sys.stdout
-    elif path is None:
-        stream = default_stream
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        return
-    stream.write(text)
-    stream.flush()
+def _open(path: str | None, default_stream, files: ExitStack):
+    """The stream a command writes to: stdout for '-', ``default_stream``
+    without a path, else the file, opened (and emptied) at once, so that a
+    path that cannot be written is reported before any work.  ``files``
+    closes it."""
+    if path is None or path == "-":
+        return sys.stdout if path == "-" else default_stream
+    try:
+        return files.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(stream, text: str) -> None:
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        raise CliInputError(f"cannot write {stream.name}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, files: ExitStack) -> int:
     g, grammar_id = _load_grammar(args)
     graph, graph_id = _load_graph(args, g)
+    out = _open(args.output, sys.stdout, files)
+    rep = _open(args.report, sys.stderr, files)
     flags = VariantFlags.named(args.variant, b=args.b)
     deadline = None
     if args.timeout_secs is not None:
@@ -221,9 +241,8 @@ def _cmd_solve(args) -> int:
             f"unknown nonterminal {target!r}; nonterminals with results: "
             + (", ".join(known) if known else "(none)")
         )
-    _write(args.output, _format_pairs(graph, pairs), sys.stdout)
-    report = _report_record(args.variant, grammar_id, graph_id, flags, result, wall)
-    _write(args.report, report, sys.stderr)
+    _write(out, _format_pairs(graph, pairs))
+    _write(rep, _report_record(args.variant, grammar_id, graph_id, flags, result, wall))
     return EXIT_OK
 
 
@@ -260,7 +279,7 @@ def run_check(
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, files: ExitStack) -> int:
     g, _ = _load_grammar(args)
     graph, _ = _load_graph(args, g)
     if graph.vertex_count > args.oracle_limit:
@@ -268,21 +287,16 @@ def _cmd_check(args) -> int:
             f"instance has {graph.vertex_count} vertices, above the oracle guard "
             f"of {args.oracle_limit}; raise --oracle-limit to force"
         )
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        VariantFlags.named(v, b=args.b)  # reject unknown names before work
-    return run_check(graph, g, variants, b=args.b)
+    return run_check(graph, g, _variants(args), b=args.b)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, files: ExitStack) -> int:
     g, grammar_id = _load_grammar(args)
     graph, graph_id = _load_graph(args, g)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        VariantFlags.named(v, b=args.b)
+    rep = _open(args.report, sys.stdout, files)
     records = []
     timed_out = False
-    for variant in variants:
+    for variant in _variants(args):
         flags = VariantFlags.named(variant, b=args.b)
         walls: list[float] = []
         result = None
@@ -314,7 +328,7 @@ def _cmd_bench(args) -> int:
         records.append(
             _report_record(variant, grammar_id, graph_id, flags, result, mean, extra)
         )
-    _write(args.report, "\n".join(records), sys.stdout)
+    _write(rep, "\n".join(records))
     return EXIT_TIMEOUT if timed_out else EXIT_OK
 
 
@@ -369,12 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _bad_number(args)
+    problem = _bad_usage(args)
     if problem is not None:
         print(f"cflr: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        with ExitStack() as files:
+            return args.fn(args, files)
     except CliInputError as exc:
         print(f"cflr: {exc}", file=sys.stderr)
         return EXIT_INPUT

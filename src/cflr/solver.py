@@ -164,20 +164,6 @@ def forest_insert(
 _StoreKey = tuple[str, str]  # (repr, layout)
 
 
-def _derive(m: BoolMat, src_repr: str, dst_repr: str, dst_layout: str, n: int, k: int) -> BoolMat:
-    out = m
-    if src_repr != dst_repr:
-        if src_repr == HBLOCK and dst_repr == VBLOCK:
-            out = sparse.horizontal_to_vertical(out, n, k)
-        elif src_repr == VBLOCK and dst_repr == HBLOCK:
-            out = sparse.vertical_to_horizontal(out, n, k)
-        else:
-            raise ValueError(f"cannot derive {dst_repr} from {src_repr}")
-    if out.layout != dst_layout:
-        out = sparse.convert(out, dst_layout)
-    return out
-
-
 class _Bundle:
     """Mirrored copies of one logical matrix, one per store key.  A bundle
     made from a fresh delta does not own its copies: the delta is still
@@ -209,8 +195,9 @@ def _fold(small: _Bundle, large: _Bundle, counter: OpCounter | None) -> _Bundle:
 
 class _DeltaView:
     """A freshly discovered delta of a store's symbol, in the store's
-    canonical key, with lazily derived copies, each in the line form the
-    store keeps for that key."""
+    row-major canonical key, with lazily derived copies (a family's
+    vertical blocks, column-major copies), each in the line form the store
+    keeps for that key."""
 
     __slots__ = ("mat", "store", "_cache")
 
@@ -228,7 +215,13 @@ class _DeltaView:
         m = self._cache.get(key)
         if m is None:
             st = self.store
-            m = _derive(self.mat, st.canonical[0], repr_, layout, st.n, st.k)
+            m = self.mat
+            if repr_ != st.canonical[0]:
+                if (st.canonical[0], repr_) != (HBLOCK, VBLOCK):
+                    raise ValueError(f"cannot derive {repr_} from {st.canonical[0]}")
+                m = sparse.horizontal_to_vertical(m, st.n, st.k)
+            if layout != ROW:
+                m = sparse.convert(m, layout)
             m = self._cache[key] = m.in_form(key in st.bit_keys)
         return m
 
@@ -244,7 +237,11 @@ _SLOT_BYTES = sys.getsizeof([None]) - _LIST_BYTES
 
 class _Store:
     """All stored state for one symbol: a single bundle that each delta is
-    merged into in place, or a forest of bundles under lazy union.
+    merged into in place, or a forest of bundles under lazy union.  The
+    canonical key is row-major and always kept; the symbol's deltas,
+    accumulator and mask are in it.  The other keys are the copies its
+    products read, column-major only for the left operand of an outer
+    product.
 
     Each copy starts with its lines in list form and switches to bit form
     for good once its lines would take no more memory as ints than as
@@ -307,15 +304,15 @@ class _Store:
             self.pending = [(key, e) for key, e in self.pending if key not in self.bit_keys]
 
     def accumulator(self) -> Accumulator:
-        """A fresh accumulator in the canonical key's shape, layout and
+        """A fresh row-major accumulator in the canonical key's shape and
         line form."""
-        return Accumulator(*self.dims, self.canonical[1], self.canonical in self.bit_keys)
+        return Accumulator(*self.dims, bits=self.canonical in self.bit_keys)
 
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
         if self.forest is None:
             return self.bundle.copies[self.canonical]
-        out = BoolMat.empty(*self.dims, layout=self.canonical[1])
+        out = BoolMat.empty(*self.dims)
         for el in self.forest.payloads(largest_first=True):
             out = sparse.union(out, el.copies[self.canonical])
         return out
@@ -370,9 +367,6 @@ def solve(
     k = len(universe)
     plan = build_rule_plan(g_run, use_blocks)
     syms = stored_symbols(g_run)
-    is_family = {
-        s: (use_blocks and g_run.is_indexed_symbol(s)) for s in syms
-    }
 
     results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     # which (representation, layout) copies each symbol's store must keep;
@@ -389,15 +383,12 @@ def solve(
     for ust in plan.unit_steps:
         needs[ust.source[0]].add((ust.source[1], ROW))
 
+    # every symbol keeps its row-major canonical copy: its seeds, deltas,
+    # accumulator and mask are in that key
     canonical: dict[Symbol, _StoreKey] = {}
     for s in syms:
-        if is_family[s]:
-            needs[s].add((HBLOCK, ROW))
-            canonical[s] = (HBLOCK, ROW)
-        else:
-            if not needs[s]:
-                needs[s].add((PLAIN, ROW))
-            canonical[s] = (PLAIN, ROW) if (PLAIN, ROW) in needs[s] else (PLAIN, COL)
+        canonical[s] = (HBLOCK if use_blocks and g_run.is_indexed_symbol(s) else PLAIN, ROW)
+        needs[s].add(canonical[s])
 
     counter = OpCounter()
     stores = {
@@ -405,13 +396,9 @@ def solve(
         for s in syms
     }
 
+    # the seeds are row-major, in each symbol's canonical representation
     init = initial_matrix(graph, g_run, use_blocks)
-    init_canonical: dict[Symbol, BoolMat] = {}
-    for (sym, repr_), m in init.mats.items():
-        if sym not in stores:
-            continue
-        crepr, clay = canonical[sym]
-        init_canonical[sym] = _derive(m, repr_, crepr, clay, n, k)
+    init_canonical = {sym: m for (sym, _), m in init.mats.items() if sym in stores}
 
     capacity = sum(r * c for r, c in (matrix_dims(canonical[s][0], n, k) for s in syms))
     max_iterations = capacity + 2
@@ -485,9 +472,7 @@ def solve(
         mats = {}
         for s in syms:
             m = stores[s].materialized()
-            crepr, _ = canonical[s]
-            m = _derive(m, crepr, crepr, ROW, n, k)
-            mats[(s, crepr)] = m.copy() if snapshot else m
+            mats[(s, canonical[s][0])] = m.copy() if snapshot else m
         return NontermMatrix(n, universe, mats)
 
     # the delta variants multiply by the delta, the baseline by all of M
@@ -500,12 +485,7 @@ def solve(
             raise RuntimeError("fixpoint failed to converge (bug)")
         if iteration_hook is not None:
             delta_nm = NontermMatrix(
-                n,
-                universe,
-                {
-                    (s, dv.store.canonical[0]): dv.copy(dv.store.canonical[0], ROW)
-                    for s, dv in deltas.items()
-                },
+                n, universe, {(s, canonical[s][0]): dv.copy(*canonical[s]) for s, dv in deltas.items()}
             )
             m_old_nm = materialized_view(snapshot=True)
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))

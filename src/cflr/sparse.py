@@ -2,8 +2,10 @@
 operations the reachability engine is built from: Boolean matrix product
 driven by either operand, element-wise union, layout conversion, the
 block-matrix reshapes used for indexed symbol families, a mutable
-accumulator that gathers many products and is then complement-masked, and
-an in-place merge of a disjoint delta into a stored matrix.
+row-major accumulator that gathers many products and is then
+complement-masked, and an in-place merge of a disjoint delta into a stored
+matrix.  Every product is row-major; only the left operand of the outer
+product is column-major.
 
 A matrix stores each nonempty line (row in row-major, column in
 column-major) in one of two forms: a sorted duplicate-free list of
@@ -254,75 +256,68 @@ def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
 
 
 class Accumulator:
-    """A matrix under construction.  Unlike :class:`BoolMat` it is
-    mutable.  ``spgemm(..., into=acc)`` and :meth:`add` add lines to it,
+    """A row-major matrix under construction.  Unlike :class:`BoolMat` it
+    is mutable.  ``spgemm(..., into=acc)`` and :meth:`add` add rows to it,
     and :func:`masked` turns it into a :class:`BoolMat` of the same form,
     so a result gathered from many products is deduplicated once.  In
-    list form each line holds the positions added so far, unsorted and
-    possibly repeated; in bit form (``bits``) each line is the OR of the
+    list form each row holds the positions added so far, unsorted and
+    possibly repeated; in bit form (``bits``) each row is the OR of the
     ints added so far, and ``received`` counts the entries added (the
-    popcount of every line put), which the list form keeps as its line
-    lengths.  A bit-form accumulator ORs lines of the other layout into
-    ``crossed``, lines of that layout in its own shape, and turns them
-    into its own lines once, when it is masked, so an entry that many
-    products give is moved once."""
+    popcount of every row put), which the list form keeps as its row
+    lengths."""
 
-    __slots__ = ("rows", "cols", "layout", "lines", "bits", "received", "crossed")
+    __slots__ = ("rows", "cols", "lines", "bits", "received")
 
-    def __init__(self, rows: int, cols: int, layout: str = ROW, bits: bool = False):
-        if layout not in (ROW, COL):
-            raise ValueError(f"unknown layout {layout!r}")
+    def __init__(self, rows: int, cols: int, bits: bool = False):
         self.rows = rows
         self.cols = cols
-        self.layout = layout
         self.bits = bits
         self.lines: dict = {}
         self.received = 0
-        self.crossed: dict[int, int] = {}
 
     def __bool__(self) -> bool:
         """Whether anything was added since the accumulator was made or
         last masked."""
-        return bool(self.lines or self.crossed)
+        return bool(self.lines)
 
-    def sink(self, rows: int, cols: int, layout: str, bits: bool = False):
-        """A function ``put(line, positions)`` adding one line of a
-        rows x cols matrix stored in ``layout``, the line given as an int
-        with ``bits`` and as an iterable of positions without.  A matrix of
-        this accumulator's shape is added as it is, re-bucketed entry by
-        entry when its layout differs.  A row-major n x k*n accumulator of
-        horizontal blocks also takes a row-major k*n x n matrix of vertical
-        blocks: entry (t*n + u, w) goes to (u, t*n + w), as in
+    def sink(self, rows: int, cols: int, bits: bool = False):
+        """A function ``put(i, row)`` adding row i of a rows x cols
+        row-major matrix, the row given as an int with ``bits`` and as an
+        iterable of positions without.  A matrix of this accumulator's
+        shape is added as it is.  An n x k*n accumulator of horizontal
+        blocks also takes a k*n x n matrix of vertical blocks: entry
+        (t*n + u, w) goes to (u, t*n + w), as in
         :func:`vertical_to_horizontal`."""
-        if self.bits:
-            put = self._bit_sink(rows, cols, layout)
-            if not bits:
-                return lambda k, ps: put(k, _bitmask(ps))
-            return put
+        n = None if (rows, cols) == (self.rows, self.cols) else self._block_size(rows, cols)
         lines = self.lines
         get = lines.get
-        if (rows, cols) == (self.rows, self.cols):
-            if layout == self.layout:
+        if self.bits:
+            if n is None:
 
-                def put(k, ps):
-                    line = get(k)
-                    if line is None:
-                        lines[k] = list(ps)
-                    else:
-                        line.extend(ps)
+                def put(i, x):
+                    lines[i] = get(i, 0) | x
+                    self.received += x.bit_count()
 
             else:
 
-                def put(k, ps):
-                    for p in ps:
-                        line = get(p)
-                        if line is None:
-                            lines[p] = [k]
-                        else:
-                            line.append(k)
+                def put(i, x):
+                    u = i % n
+                    lines[u] = get(u, 0) | x << (i - u)
+                    self.received += x.bit_count()
+
+            if not bits:
+                return lambda i, ps: put(i, _bitmask(ps))
+            return put
+        if n is None:
+
+            def put(i, js):
+                line = get(i)
+                if line is None:
+                    lines[i] = list(js)
+                else:
+                    line.extend(js)
 
         else:
-            n = self._block_size(rows, cols, layout)
 
             def put(i, js):
                 u = i % n
@@ -335,54 +330,27 @@ class Accumulator:
                     line.extend(moved)
 
         if bits:
-            return lambda k, x: put(k, _positions(x))
+            return lambda i, x: put(i, _positions(x))
         return put
 
-    def _block_size(self, rows: int, cols: int, layout: str = ROW) -> int:
-        """n, when a k*n x n matrix of vertical blocks in ``layout`` can be
-        added to this n x k*n accumulator; ValueError otherwise."""
+    def _block_size(self, rows: int, cols: int) -> int:
+        """n, when a k*n x n matrix of vertical blocks can be added to this
+        n x k*n accumulator; ValueError otherwise."""
         n = self.rows
-        if (rows, cols, layout, self.layout) != (self.cols, n, ROW, ROW) or (n and self.cols % n):
+        if (rows, cols) != (self.cols, n) or (n and self.cols % n):
             raise ValueError(
-                f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} "
-                f"{self.layout}-major accumulator"
+                f"cannot add a {rows}x{cols} matrix to a {self.rows}x{self.cols} accumulator"
             )
         return n
 
-    def _bit_sink(self, rows: int, cols: int, layout: str):
-        """:meth:`sink` of a bit-form accumulator, taking lines as ints."""
-        lines = self.lines
-        get = lines.get
-        crossed = self.crossed
-        cget = crossed.get
-        if (rows, cols) == (self.rows, self.cols):
-            if layout == self.layout:
-
-                def put(k, x):
-                    lines[k] = get(k, 0) | x
-                    self.received += x.bit_count()
-
-            else:
-
-                def put(k, x):
-                    crossed[k] = cget(k, 0) | x
-                    self.received += x.bit_count()
-
-        else:
-            n = self._block_size(rows, cols, layout)
-
-            def put(i, x):
-                u = i % n
-                lines[u] = get(u, 0) | x << (i - u)
-                self.received += x.bit_count()
-
-        return put
-
     def add(self, m: BoolMat) -> None:
-        """Add every entry of ``m`` (see :meth:`sink` for the shapes)."""
-        put = self.sink(m.rows, m.cols, m.layout, m.bits)
-        for k, line in m.lines.items():
-            put(k, line)
+        """Add every entry of the row-major ``m`` (see :meth:`sink` for the
+        shapes)."""
+        if m.layout != ROW:
+            raise ValueError(f"an accumulator takes row-major matrices, got {m!r}")
+        put = self.sink(m.rows, m.cols, m.bits)
+        for i, row in m.lines.items():
+            put(i, row)
 
 
 def spgemm(
@@ -407,8 +375,8 @@ def spgemm(
     ``scalar_ops`` and put the same entries.
 
     With ``into`` the product's rows are added to that accumulator, moved
-    to its layout and shape as :meth:`Accumulator.sink` says, and nothing
-    is returned.  Without it the product is returned in list form.
+    to its shape as :meth:`Accumulator.sink` says, and nothing is
+    returned.  Without it the product is returned in list form.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape()} @ {b.shape()}")
@@ -427,12 +395,12 @@ def spgemm(
         # product rows are ints when b's lines are, or when they feed a
         # bit-form accumulator
         ints = b.bits or target.bits
-        sops = _outer_product(a, b, target.sink(a.rows, b.cols, ROW, ints), ints)
+        sops = _outer_product(a, b, target.sink(a.rows, b.cols, ints), ints)
     else:
         # product lines are ints when the other operand's lines are, or
         # when a driver in bit form feeds a bit-form accumulator
         ints = b.bits or (a.bits and target.bits)
-        put = target.sink(a.rows, b.cols, ROW, ints)
+        put = target.sink(a.rows, b.cols, ints)
         oget = b.lines.get
         if not (a.bits or b.bits):
             for i, dline in a.lines.items():
@@ -519,19 +487,17 @@ def masked(
     acc: Accumulator, pieces: Iterable[BoolMat], counter: OpCounter | None = None
 ) -> BoolMat:
     """The complement-masked result C<not M> of everything gathered in
-    ``acc``, in the accumulator's form: each line becomes sorted(set(line)
-    - that line of every piece), or in bit form ``line & ~piece_line`` over
-    the pieces, and lines left empty are dropped.  The pieces together are
-    M; they share the accumulator's shape and layout, in either form.  A
-    bit-form accumulator's crossed lines are first turned into its own
-    lines.  ``acc`` is emptied.  The entries it received count as
-    ``union_entries``."""
+    ``acc``, row-major and in the accumulator's form: each row becomes
+    sorted(set(row) - that row of every piece), or in bit form ``row &
+    ~piece_row`` over the pieces, and rows left empty are dropped.  The
+    pieces together are M; they are row-major and share the accumulator's
+    shape, in either form.  ``acc`` is emptied.  The entries it received
+    count as ``union_entries``."""
     masks = []
     for p in pieces:
-        if p.shape() != (acc.rows, acc.cols) or p.layout != acc.layout:
+        if p.shape() != (acc.rows, acc.cols) or p.layout != ROW:
             raise ValueError(
-                f"mask {p!r} does not match the {acc.rows}x{acc.cols} "
-                f"{acc.layout}-major accumulator"
+                f"mask {p!r} is not a row-major {acc.rows}x{acc.cols} matrix"
             )
         if p.nnz:
             masks.append((p.lines.get, p.bits))
@@ -541,13 +507,6 @@ def masked(
     acc.received = 0
     out: dict = {}
     if acc.bits:
-        get = lines.get
-        crossed = acc.crossed
-        while crossed:
-            k, line = crossed.popitem()
-            bit = 1 << k
-            for p in _positions(line):
-                lines[p] = get(p, 0) | bit
         while lines:
             k, line = lines.popitem()
             for mget, bits in masks:
@@ -572,7 +531,7 @@ def masked(
                     break
         if keep:
             out[k] = sorted(keep)
-    return BoolMat(acc.rows, acc.cols, acc.layout, out, acc.bits)
+    return BoolMat(acc.rows, acc.cols, ROW, out, acc.bits)
 
 
 def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None:

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import cflr.cli
 from cflr.cli import (
     EXIT_DIVERGENCE,
     EXIT_INPUT,
@@ -192,12 +193,52 @@ def test_bad_numeric_flag_is_one_line_usage_error(argv, capsys):
         ["bench", "--graph", "chain(4)", "--variants", "ma1", "--reps", "1", "--report", "{bad}"],
     ],
 )
-def test_unwritable_path_is_one_line_input_error(argv, tmp_path, capsys):
+def test_unwritable_path_is_one_line_input_error(argv, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output paths were opened")
+
+    monkeypatch.setattr(cflr.cli, "solve", no_solve)
     bad = str(tmp_path / "no-such-dir" / "x.txt")
     argv = [a.format(bad=bad, ok=tmp_path / "ok.txt") for a in argv]
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err == f"cflr: cannot write {bad}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--grammar"])
+def test_undecodable_input_file_is_one_line_input_error(flag, tmp_path, capsys):
+    files = {"--graph": tmp_path / "g.txt", "--grammar": tmp_path / "g.cfg"}
+    files["--graph"].write_text("0 a 1\n")
+    files["--grammar"].write_text("S -> a b\n")
+    files[flag].write_bytes(b"\xff 0 a 1\n")
+    argv = ["solve", "--graph", str(files["--graph"]), "--grammar", str(files["--grammar"])]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    what = flag.lstrip("-")
+    assert captured.err.startswith(f"cflr: cannot read {what}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--graph", "chain(4)", "--variants", ",,"],
+        ["bench", "--graph", "chain(4)", "--variants", " , "],
+        ["check", "--graph", "chain(4)", "--variants", "ma1,ma9"],
+        ["bench", "--graph", "chain(4)", "--variants", "ma1,,bogus"],
+    ],
+    ids=["check-empty", "bench-empty", "check-unknown", "bench-unknown"],
+)
+def test_bad_variant_list_is_one_line_usage_error(argv, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the variant list was checked")
+
+    monkeypatch.setattr(cflr.cli, "solve", no_solve)
+    monkeypatch.setattr(cflr.cli, "oracle_solve", no_solve)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cflr: --variants ") and captured.err.count("\n") == 1
 
 
 class TestCheckCommand:

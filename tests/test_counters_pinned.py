@@ -75,39 +75,39 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('fsjpt:2', 'ma'): ('fea8b44c9e6260f3', 114, 401, 642, 6),
     ('fsjpt:2', 'ma1'): ('fea8b44c9e6260f3', 228, 74, 315, 6),
     ('fsjpt:2', 'ma14'): ('fea8b44c9e6260f3', 132, 74, 355, 6),
-    ('fsjpt:2', 'ma1234'): ('fea8b44c9e6260f3', 126, 74, 106, 6),
+    ('fsjpt:2', 'ma1234'): ('fea8b44c9e6260f3', 126, 74, 108, 6),
     ('fsjpt-opt:1', 'ma'): ('00551bbf8cdb56f4', 104, 97, 213, 4),
     ('fsjpt-opt:1', 'ma1'): ('00551bbf8cdb56f4', 208, 26, 142, 4),
     ('fsjpt-opt:1', 'ma14'): ('00551bbf8cdb56f4', 80, 26, 184, 4),
-    ('fsjpt-opt:1', 'ma1234'): ('00551bbf8cdb56f4', 75, 26, 37, 4),
+    ('fsjpt-opt:1', 'ma1234'): ('00551bbf8cdb56f4', 75, 26, 42, 4),
     ('fsjpt-opt:2', 'ma'): ('7cbd75362a55b60b', 104, 81, 192, 4),
     ('fsjpt-opt:2', 'ma1'): ('7cbd75362a55b60b', 208, 22, 133, 4),
     ('fsjpt-opt:2', 'ma14'): ('7cbd75362a55b60b', 80, 22, 161, 4),
-    ('fsjpt-opt:2', 'ma1234'): ('7cbd75362a55b60b', 65, 22, 33, 4),
+    ('fsjpt-opt:2', 'ma1234'): ('7cbd75362a55b60b', 65, 22, 36, 4),
     ('fica:1', 'ma'): ('cc0f2192d820c87f', 200, 83683, 43052, 25),
     ('fica:1', 'ma1'): ('cc0f2192d820c87f', 400, 6366, 7767, 25),
     ('fica:1', 'ma14'): ('cc0f2192d820c87f', 400, 6366, 7767, 25),
-    ('fica:1', 'ma1234'): ('cc0f2192d820c87f', 514, 6366, 7926, 25),
+    ('fica:1', 'ma1234'): ('cc0f2192d820c87f', 514, 6366, 8518, 25),
     ('fica:2', 'ma'): ('a31c5506928ff5a5', 192, 36706, 27554, 24),
     ('fica:2', 'ma1'): ('a31c5506928ff5a5', 384, 2439, 4105, 24),
     ('fica:2', 'ma14'): ('a31c5506928ff5a5', 384, 2439, 4105, 24),
-    ('fica:2', 'ma1234'): ('a31c5506928ff5a5', 488, 2439, 3992, 24),
+    ('fica:2', 'ma1234'): ('a31c5506928ff5a5', 488, 2439, 4259, 24),
     ('fica-opt:1', 'ma'): ('c5e38c6c9d2520a3', 80, 9802, 5313, 10),
     ('fica-opt:1', 'ma1'): ('c5e38c6c9d2520a3', 160, 2102, 2305, 10),
     ('fica-opt:1', 'ma14'): ('c5e38c6c9d2520a3', 160, 2102, 2305, 10),
-    ('fica-opt:1', 'ma1234'): ('c5e38c6c9d2520a3', 155, 2102, 2144, 10),
+    ('fica-opt:1', 'ma1234'): ('c5e38c6c9d2520a3', 155, 2102, 2418, 10),
     ('fica-opt:2', 'ma'): ('85f10dd03666d7f9', 96, 4799, 3691, 12),
     ('fica-opt:2', 'ma1'): ('85f10dd03666d7f9', 192, 610, 974, 12),
     ('fica-opt:2', 'ma14'): ('85f10dd03666d7f9', 192, 610, 974, 12),
-    ('fica-opt:2', 'ma1234'): ('85f10dd03666d7f9', 206, 610, 850, 12),
+    ('fica-opt:2', 'ma1234'): ('85f10dd03666d7f9', 206, 610, 951, 12),
     ('fsca:1', 'ma'): ('13c26270b575786c', 120, 2697, 2844, 10),
     ('fsca:1', 'ma1'): ('13c26270b575786c', 240, 368, 858, 10),
     ('fsca:1', 'ma14'): ('13c26270b575786c', 160, 368, 892, 10),
-    ('fsca:1', 'ma1234'): ('13c26270b575786c', 171, 368, 560, 10),
+    ('fsca:1', 'ma1234'): ('13c26270b575786c', 171, 368, 621, 10),
     ('fsca:2', 'ma'): ('3fb5fc85ef8e154b', 168, 6603, 5913, 14),
     ('fsca:2', 'ma1'): ('3fb5fc85ef8e154b', 336, 724, 1377, 14),
     ('fsca:2', 'ma14'): ('3fb5fc85ef8e154b', 224, 724, 1404, 14),
-    ('fsca:2', 'ma1234'): ('3fb5fc85ef8e154b', 257, 724, 1068, 14),
+    ('fsca:2', 'ma1234'): ('3fb5fc85ef8e154b', 257, 724, 1206, 14),
     ('fsca-wcnf:1', 'ma'): ('9c4db93745c248ad', 96, 2329, 2378, 8),
     ('fsca-wcnf:1', 'ma1'): ('9c4db93745c248ad', 192, 368, 757, 8),
     ('fsca-wcnf:1', 'ma14'): ('9c4db93745c248ad', 128, 368, 791, 8),
@@ -115,7 +115,7 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('fsca-wcnf:2', 'ma'): ('be5f046988a66a8a', 132, 5405, 4738, 11),
     ('fsca-wcnf:2', 'ma1'): ('be5f046988a66a8a', 264, 724, 1214, 11),
     ('fsca-wcnf:2', 'ma14'): ('be5f046988a66a8a', 176, 724, 1241, 11),
-    ('fsca-wcnf:2', 'ma1234'): ('be5f046988a66a8a', 193, 724, 1093, 11),
+    ('fsca-wcnf:2', 'ma1234'): ('be5f046988a66a8a', 193, 724, 1105, 11),
     ('cscvf:1', 'ma'): ('8c47927f88b82a8a', 49, 3572, 1986, 7),
     ('cscvf:1', 'ma1'): ('8c47927f88b82a8a', 98, 698, 878, 7),
     ('cscvf:1', 'ma14'): ('8c47927f88b82a8a', 42, 698, 934, 7),
@@ -127,11 +127,11 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('cscvf-wcnf:1', 'ma'): ('7da4cf6fb82d217e', 72, 1811, 1956, 9),
     ('cscvf-wcnf:1', 'ma1'): ('7da4cf6fb82d217e', 144, 267, 614, 9),
     ('cscvf-wcnf:1', 'ma14'): ('7da4cf6fb82d217e', 72, 267, 695, 9),
-    ('cscvf-wcnf:1', 'ma1234'): ('7da4cf6fb82d217e', 72, 267, 496, 9),
+    ('cscvf-wcnf:1', 'ma1234'): ('7da4cf6fb82d217e', 72, 267, 627, 9),
     ('cscvf-wcnf:2', 'ma'): ('51cd532097d590c9', 136, 10357, 8169, 17),
     ('cscvf-wcnf:2', 'ma1'): ('51cd532097d590c9', 272, 1146, 1792, 17),
     ('cscvf-wcnf:2', 'ma14'): ('51cd532097d590c9', 136, 1146, 2030, 17),
-    ('cscvf-wcnf:2', 'ma1234'): ('51cd532097d590c9', 148, 1146, 1928, 17),
+    ('cscvf-wcnf:2', 'ma1234'): ('51cd532097d590c9', 148, 1146, 2275, 17),
     ('dyck:1', 'ma'): ('29a2b8b81398b5a8', 36, 2972, 3095, 12),
     ('dyck:1', 'ma1'): ('29a2b8b81398b5a8', 72, 333, 697, 12),
     ('dyck:1', 'ma14'): ('29a2b8b81398b5a8', 72, 333, 697, 12),
@@ -209,6 +209,43 @@ def test_dual_format_keeps_column_copies_only_where_m_old_delta_reads_them(monke
     # S -> S#1 b#t: S#1 is stored, and accumulated, row-major
     assert measure("chain", "ma1234")[1] == PINNED["chain", "ma1234"]
     assert keys["S#1"] == {(PLAIN, ROW)}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_every_symbol_keeps_a_row_major_canonical_copy(monkeypatch, name):
+    """Every store keeps its canonical key, row-major, and every
+    accumulator is masked by row-major pieces into a row-major delta: no
+    product row, mask or delta crosses layouts.  A symbol stored for the
+    outer product keeps its column copy beside it."""
+    stores = []
+    init = solver._Store.__init__
+    masked = sparse.masked
+    layouts = set()
+
+    def recording(store, *args):
+        init(store, *args)
+        stores.append(store)
+
+    def recording_masked(acc, pieces, *args):
+        pieces = list(pieces)
+        out = masked(acc, pieces, *args)
+        layouts.update(p.layout for p in pieces)
+        layouts.add(out.layout)
+        return out
+
+    monkeypatch.setattr(solver._Store, "__init__", recording)
+    monkeypatch.setattr(sparse, "masked", recording_masked)
+    for variant in VARIANTS:
+        stores.clear()
+        assert measure(name, variant)[1] == PINNED[name, variant], variant
+        assert stores
+        for store in stores:
+            assert store.canonical in {(PLAIN, ROW), (HBLOCK, ROW)}, (variant, store.sym)
+            assert store.canonical in store.keys, (variant, store.sym)
+        if variant == "ma1234" and name == "fsca-wcnf:1":
+            (a_bar,) = [st for st in stores if st.sym.name() == "A_bar"]
+            assert set(a_bar.keys) == {(PLAIN, ROW), (PLAIN, COL)}
+    assert layouts == {ROW}
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -241,10 +241,12 @@ class TestGatherAndMask:
         ]
         pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(masks)]
         pieces.append(BoolMat.empty(n, n, target))
-        acc = Accumulator(n, n, target)
+        acc = Accumulator(n, n)
         for a, b in pairs:
             assert spgemm(a, b, orientation, into=acc) is None
-        got = masked(acc, pieces)
+        # the accumulator and its mask are row-major; a store's column copy
+        # of the delta is converted from the row-major result
+        got = convert(masked(acc, [convert(p, ROW) for p in pieces]), target)
         want = _union_minus(
             [spgemm(a, b, orientation) for a, b in pairs],
             lambda p: convert(p, target),
@@ -280,7 +282,7 @@ class TestGatherAndMask:
         units = [random_boolmat(rng, n, k * n, 0.2) for _ in range(rng.randrange(2))]
         pieces = [random_boolmat(rng, n, k * n, rng.random() * 0.6) for _ in range(masks)]
         pieces.append(BoolMat.empty(n, k * n))
-        acc = Accumulator(n, k * n, ROW)
+        acc = Accumulator(n, k * n)
         for a, b in pairs:
             spgemm(a, b, orientation, into=acc)
         for u in units:
@@ -324,7 +326,7 @@ class TestGatherAndMask:
         with pytest.raises(ValueError):
             acc.add(BoolMat.empty(3, 2))
         with pytest.raises(ValueError):
-            Accumulator(2, 6, COL).add(BoolMat.empty(6, 2))
+            acc.add(BoolMat.empty(6, 2, COL))
         with pytest.raises(ValueError):
             masked(acc, [BoolMat.empty(2, 6, COL)])
 
@@ -512,7 +514,8 @@ class TestUnorderedKeys:
             _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
         got = []
         for x, y in ((sa, sb), (a, b)):
-            acc = Accumulator(n, n, layout)
+            x, y = convert(x, ROW), convert(y, ROW)
+            acc = Accumulator(n, n)
             acc.add(x)
             acc.add(y)
             got.append(masked(acc, [y]))
@@ -638,25 +641,24 @@ class TestBitForm:
         assert got_c == want_c
         for g, w in zip(got, want):
             _assert_same(g, w)
-        for target in (ROW, COL):
-            pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(masks)]
-            units = [random_boolmat(rng, n, n, 0.3, target) for _ in range(rng.randrange(2))]
-            results = []
-            for acc_bits in FORMS:
-                c = OpCounter()
-                acc = Accumulator(n, n, target, bits=acc_bits)
-                for p in pairs:
-                    assert spgemm(*in_forms(p, forms), orientation, c, into=acc) is None
-                for u in units:
-                    acc.add(u.in_form(rng.random() < 0.5))
-                piece_forms = [rng.random() < 0.5 for _ in pieces]
-                results.append((masked(acc, in_forms(pieces, piece_forms), c), c))
-                assert not acc and not acc.lines and not acc.received
-            (ref, ref_c), (bit, bit_c) = results
-            assert not ref.bits and bit.bits
-            assert ref_c == bit_c
-            _assert_same(bit.in_form(False), ref)
-            assert ref == _union_minus(want + units, lambda p: convert(p, target), pieces, n, n, target)
+        pieces = [random_boolmat(rng, n, n, rng.random() * 0.6) for _ in range(masks)]
+        units = [random_boolmat(rng, n, n, 0.3) for _ in range(rng.randrange(2))]
+        results = []
+        for acc_bits in FORMS:
+            c = OpCounter()
+            acc = Accumulator(n, n, bits=acc_bits)
+            for p in pairs:
+                assert spgemm(*in_forms(p, forms), orientation, c, into=acc) is None
+            for u in units:
+                acc.add(u.in_form(rng.random() < 0.5))
+            piece_forms = [rng.random() < 0.5 for _ in pieces]
+            results.append((masked(acc, in_forms(pieces, piece_forms), c), c))
+            assert not acc and not acc.lines and not acc.received
+        (ref, ref_c), (bit, bit_c) = results
+        assert not ref.bits and bit.bits
+        assert ref_c == bit_c
+        _assert_same(bit.in_form(False), ref)
+        assert ref == _union_minus(want + units, lambda p: p, pieces, n, n, ROW)
 
     @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
     @given(
@@ -680,7 +682,7 @@ class TestBitForm:
         results = []
         for acc_bits in FORMS:
             c = OpCounter()
-            acc = Accumulator(n, k * n, ROW, bits=acc_bits)
+            acc = Accumulator(n, k * n, bits=acc_bits)
             for a, b in pairs:
                 forms = [acc_bits and rng.random() < 0.5 for _ in range(2)]
                 spgemm(*in_forms((a, b), forms), orientation, c, into=acc)
@@ -716,15 +718,14 @@ class TestBitForm:
             ROW_BY_ROW: [in_forms(p, (a_bits, b_bits)) for p in pairs],
             OUTER: [in_forms((convert(a, COL), b), (a_bits, b_bits)) for a, b in pairs],
         }
-        target = ROW if vertical else rng.choice((ROW, COL))
         shape = (n, k * n) if vertical else (n, n)
-        pieces = [random_boolmat(rng, *shape, rng.random() * 0.6, target) for _ in range(2)]
+        pieces = [random_boolmat(rng, *shape, rng.random() * 0.6) for _ in range(2)]
         for acc_bits in FORMS:
             results = {}
             for orientation, ops in operands.items():
                 c = OpCounter()
                 got = [spgemm(a, b, orientation, c) for a, b in ops]
-                acc = Accumulator(*shape, target, bits=acc_bits)
+                acc = Accumulator(*shape, bits=acc_bits)
                 for a, b in ops:
                     assert spgemm(a, b, orientation, c, into=acc) is None
                 results[orientation] = (got, masked(acc, pieces, c), c)
@@ -735,31 +736,26 @@ class TestBitForm:
             assert got_mask.bits == want_mask.bits == acc_bits
             assert got_mask.lines == want_mask.lines
 
-    @pytest.mark.parametrize("target", [ROW, COL])
     @given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_crossed_lines_are_moved_then_masked(self, target, n, rng):
-        """A bit accumulator keeps lines of the other layout apart and
-        moves them once, when it is masked: it keeps what a list
-        accumulator keeps and counts the same entries."""
-        other = COL if target == ROW else ROW
-        products = [random_boolmat(rng, n, n, rng.random() * 0.6, other) for _ in range(3)]
-        pieces = [random_boolmat(rng, n, n, rng.random() * 0.6, target) for _ in range(2)]
-        results = []
-        for acc_bits in FORMS:
-            c = OpCounter()
-            acc = Accumulator(n, n, target, bits=acc_bits)
-            for p in products:
-                acc.add(p.in_form(rng.random() < 0.5))
-            assert bool(acc) == any(p.nnz for p in products)
-            assert not (acc_bits and acc.lines)  # held apart until the mask
-            results.append((masked(acc, in_forms(pieces, [rng.random() < 0.5 for _ in pieces]), c), c))
-            assert not acc and not acc.crossed
-        (ref, ref_c), (bit, bit_c) = results
-        assert ref_c == bit_c
-        assert bit.bits and bit.in_form(False).lines == ref.lines
-        with pytest.raises(ValueError):
-            masked(Accumulator(n, n, target, bits=True), [convert(p, other) for p in pieces])
+    def test_column_major_input_is_rejected(self, n, rng):
+        """An accumulator takes row-major rows only, and masks with
+        row-major pieces only, in either form: no line crosses layouts."""
+        m = random_boolmat(rng, n, n, rng.random() * 0.6, COL)
+        v = random_boolmat(rng, 2 * n, n, rng.random() * 0.6, COL)
+        for bits in FORMS:
+            for acc_bits in FORMS:
+                acc = Accumulator(n, n, bits=acc_bits)
+                with pytest.raises(ValueError):
+                    acc.add(m.in_form(bits))
+                with pytest.raises(ValueError):
+                    Accumulator(n, 2 * n, bits=acc_bits).add(v.in_form(bits))
+                assert not acc
+                acc.add(convert(m, ROW).in_form(bits))
+                with pytest.raises(ValueError):
+                    masked(acc, [BoolMat.empty(n, n), m.in_form(bits)])
+                got = masked(acc, [BoolMat.empty(n, n).in_form(bits)])
+                assert got.layout == ROW and got.bits == acc_bits and got == m
 
     @pytest.mark.parametrize("layout", [ROW, COL])
     @pytest.mark.parametrize("d_bits", FORMS)
