@@ -738,9 +738,9 @@ class TestBitForm:
 
     @given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_column_major_input_is_rejected(self, n, rng):
-        """An accumulator takes row-major rows only, and masks with
-        row-major pieces only, in either form: no line crosses layouts."""
+    def test_column_major_rows_are_rejected(self, n, rng):
+        """An accumulator takes row-major rows only, in either form, plain
+        or as vertical blocks: no line crosses layouts."""
         m = random_boolmat(rng, n, n, rng.random() * 0.6, COL)
         v = random_boolmat(rng, 2 * n, n, rng.random() * 0.6, COL)
         for bits in FORMS:
@@ -751,6 +751,19 @@ class TestBitForm:
                 with pytest.raises(ValueError):
                     Accumulator(n, 2 * n, bits=acc_bits).add(v.in_form(bits))
                 assert not acc
+                acc.add(convert(m, ROW).in_form(bits))
+                got = masked(acc, [BoolMat.empty(n, n).in_form(bits)])
+                assert got.layout == ROW and got.bits == acc_bits and got == m
+
+    @given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_column_major_mask_pieces_are_rejected(self, n, rng):
+        """An accumulator masks with row-major pieces only, in either form,
+        and a rejected mask leaves its rows in place."""
+        m = random_boolmat(rng, n, n, rng.random() * 0.6, COL)
+        for bits in FORMS:
+            for acc_bits in FORMS:
+                acc = Accumulator(n, n, bits=acc_bits)
                 acc.add(convert(m, ROW).in_form(bits))
                 with pytest.raises(ValueError):
                     masked(acc, [BoolMat.empty(n, n), m.in_form(bits)])
