@@ -33,7 +33,6 @@ from .graph import (
     chain_graph,
     grid_graph,
     load_graph,
-    load_graph_file,
     serialize_graph,
 )
 from .oracle import ReachTriple, oracle_solve
@@ -82,7 +81,6 @@ __all__ = [
     "grid_graph",
     "initial_matrix",
     "load_graph",
-    "load_graph_file",
     "oracle_solve",
     "parse_grammar",
     "preset",

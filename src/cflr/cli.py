@@ -73,6 +73,14 @@ def _bad_usage(args) -> str | None:
                 f"--variants needs one or more of {', '.join(VARIANT_NAMES)}, "
                 f"got {args.variants!r}"
             )
+        if "ma12345" in names:
+            # the fifth optimization is a grammar choice, which --variants
+            # cannot make once per variant
+            tuned = ", ".join(sorted(set(OPT_GRAMMAR_FOR.values())))
+            return (
+                "--variants cannot run ma12345, ma1234 on a hand-tuned grammar: "
+                f"pass ma1234 with --preset <name>-opt (tuned presets: {tuned})"
+            )
     return None
 
 
@@ -84,23 +92,16 @@ def _peak_memory_bytes() -> int:
 
 
 def _load_grammar(args) -> tuple[WcnfGrammar, str]:
-    variant = getattr(args, "variant", None)
+    ma12345 = getattr(args, "variant", None) == "ma12345"
+    if ma12345 and args.preset not in OPT_GRAMMAR_FOR:
+        raise CliInputError(
+            "variant ma12345 runs the hand-tuned counterpart of a preset grammar; "
+            f"pass --preset with one of {', '.join(OPT_GRAMMAR_FOR)}"
+        )
     if args.preset:
-        name = args.preset
-        if variant == "ma12345":
-            opt = OPT_GRAMMAR_FOR.get(name)
-            if opt is None:
-                raise CliInputError(
-                    f"variant ma12345 needs a grammar with a hand-tuned counterpart; "
-                    f"preset {name!r} has none"
-                )
-            name = opt
+        name = OPT_GRAMMAR_FOR[args.preset] if ma12345 else args.preset
         return ensure_wcnf(preset(name)), name
     if args.grammar:
-        if variant == "ma12345":
-            raise CliInputError(
-                "variant ma12345 selects a hand-tuned preset grammar; use --preset"
-            )
         try:
             with open(args.grammar, "r", encoding="utf-8") as fh:
                 cfg = parse_grammar(fh.read())
@@ -108,11 +109,6 @@ def _load_grammar(args) -> tuple[WcnfGrammar, str]:
             raise CliInputError(f"cannot read grammar: {exc}") from exc
         return ensure_wcnf(cfg), args.grammar
     if args.graph and _SYNTHETIC.match(args.graph):
-        if variant == "ma12345":
-            raise CliInputError(
-                "variant ma12345 needs a grammar with a hand-tuned counterpart; "
-                "the synthetic instances pair with 'dyck', which has none"
-            )
         return ensure_wcnf(preset("dyck")), "dyck"
     raise CliInputError("a grammar is required: pass --grammar FILE or --preset NAME")
 

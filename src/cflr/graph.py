@@ -121,11 +121,6 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
     return _assemble(names, edges, universe)
 
 
-def load_graph_file(path, g: Cfg, index_separator: str = "_") -> LabeledGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read(), g, index_separator)
-
-
 def serialize_graph(graph: LabeledGraph, index_separator: str = "_") -> str:
     """Triple text with interned integer vertex ids; reloadable."""
     lines = []

@@ -26,7 +26,7 @@ from typing import Iterable
 from . import sparse
 from .grammar import EPSILON, NONTERMINAL, TERMINAL, Symbol, WcnfGrammar
 from .graph import LabeledGraph
-from .sparse import BoolMat, OpCounter
+from .sparse import Accumulator, BoolMat, OpCounter
 
 PLAIN = "plain"
 HBLOCK = "h"
@@ -75,7 +75,7 @@ class UnitStep:
 
     result: MatKey
     source: MatKey
-    collapse: bool = False
+    transform: str | None = None  # "collapse"
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def build_rule_plan(g: WcnfGrammar, indexed_blocks: bool = False) -> RulePlan:
         if ic and isrc:
             units.append(UnitStep((c, HBLOCK), (s, HBLOCK)))
         elif not ic and isrc:
-            units.append(UnitStep((c, PLAIN), (s, HBLOCK), collapse=True))
+            units.append(UnitStep((c, PLAIN), (s, HBLOCK), transform="collapse"))
         else:
             units.append(UnitStep((c, PLAIN), (s, PLAIN)))
 
@@ -308,6 +308,8 @@ def initial_matrix(
 
 
 def _apply_transform(m: BoolMat, transform: str | None, n: int, k: int) -> BoolMat:
+    """``m`` as a step reads it: as it is, on the block diagonal, or with
+    its index blocks collapsed."""
     if transform is None:
         return m
     if transform == "diag":
@@ -317,12 +319,13 @@ def _apply_transform(m: BoolMat, transform: str | None, n: int, k: int) -> BoolM
     raise ValueError(f"unknown transform {transform!r}")
 
 
-def _to_canonical(piece: BoolMat, repr_: str, n: int, k: int) -> tuple[str, BoolMat]:
-    """Normalize a produced piece to its symbol's canonical representation
-    (vertical family blocks become horizontal)."""
-    if repr_ == VBLOCK:
-        return HBLOCK, sparse.vertical_to_horizontal(piece, n, k)
-    return repr_, piece
+def _accumulator(accs: dict[MatKey, Accumulator], key: MatKey, n: int, k: int) -> Accumulator:
+    """The accumulator of ``key``'s symbol in its canonical representation,
+    where vertical family blocks land in the horizontal one."""
+    key = (key[0], HBLOCK if key[1] == VBLOCK else key[1])
+    if key not in accs:
+        accs[key] = Accumulator(*matrix_dims(key[1], n, k))
+    return accs[key]
 
 
 def semiring_matmul(
@@ -333,22 +336,20 @@ def semiring_matmul(
     counter: OpCounter | None = None,
 ) -> NontermMatrix:
     """The algebra's matrix product: one Boolean product per binary rule
-    (per rule family with ``indexed_blocks``), unioned per result symbol
-    in rule order.  Unit rules are not part of the product."""
+    (per rule family with ``indexed_blocks``), gathered per result symbol.
+    Unit rules are not part of the product."""
     if (left.size, left.universe) != (right.size, right.universe):
         raise ValueError("operand collections disagree on shape")
     n, k = left.size, left.k
     plan = build_rule_plan(g, indexed_blocks)
-    acc: dict[MatKey, BoolMat] = {}
+    accs: dict[MatKey, Accumulator] = {}
     for step in plan.bin_steps:
         lmat = _apply_transform(left.fetch(step.left), step.left_transform, n, k)
         rmat = _apply_transform(right.fetch(step.right), step.right_transform, n, k)
-        piece = sparse.spgemm(lmat, rmat, sparse.ROW_BY_ROW, counter)
-        repr_, piece = _to_canonical(piece, step.result[1], n, k)
-        key = (step.result[0], repr_)
-        cur = acc.get(key)
-        acc[key] = piece if cur is None else sparse.union(cur, piece, counter)
-    return NontermMatrix(n, left.universe, acc)
+        acc = _accumulator(accs, step.result, n, k)
+        sparse.spgemm(lmat, rmat, sparse.ROW_BY_ROW, counter, into=acc)
+    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
+    return NontermMatrix(n, left.universe, mats)
 
 
 def apply_unit_rules(
@@ -361,11 +362,9 @@ def apply_unit_rules(
     ``source``'s entries."""
     n, k = source.size, source.k
     plan = build_rule_plan(g, indexed_blocks)
-    acc: dict[MatKey, BoolMat] = {}
+    accs: dict[MatKey, Accumulator] = {}
     for step in plan.unit_steps:
-        piece = source.fetch(step.source)
-        if step.collapse:
-            piece = sparse.block_collapse(piece, n, k)
-        cur = acc.get(step.result)
-        acc[step.result] = piece if cur is None else sparse.union(cur, piece, counter)
-    return NontermMatrix(n, source.universe, acc)
+        piece = _apply_transform(source.fetch(step.source), step.transform, n, k)
+        _accumulator(accs, step.result, n, k).add(piece)
+    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
+    return NontermMatrix(n, source.universe, mats)

@@ -439,17 +439,6 @@ def solve(
         dv = deltas.get(sym)
         return [empty(repr_, layout) if dv is None else dv.copy(repr_, layout)]
 
-    # right operands (and unit-rule sources) under their transform, which
-    # is a collapse, built once per operand and iteration: a delta's copy
-    # can be read again as a forest piece.  Each is kept with its operand,
-    # so the id is not reused.
-    built: dict[int, tuple[BoolMat, BoolMat]] = {}
-
-    def transformed(m: BoolMat, transform: str | None) -> BoolMat:
-        if transform is not None and id(m) not in built:
-            built[id(m)] = (m, _apply_transform(m, transform, n, k))
-        return m if transform is None else built[id(m)][1]
-
     def gather(accs, lefts, rights, orientation: str) -> None:
         """Multiply every binary step's operands, ``lefts``/``rights`` of
         (symbol, repr, layout), into its result symbol's accumulator."""
@@ -457,7 +446,10 @@ def solve(
         for sym, steps in steps_by_result.items():
             acc = accs[sym]
             for st in steps:
-                ras = [transformed(m, st.right_transform) for m in rights(*st.right, right_layout)]
+                ras = [
+                    _apply_transform(m, st.right_transform, n, k)
+                    for m in rights(*st.right, right_layout)
+                ]
                 for lm in lefts(*st.left, left_layout):
                     la = _apply_transform(lm, st.left_transform, n, k)
                     for ra in ras:
@@ -503,8 +495,7 @@ def solve(
         for ust in plan.unit_steps:
             for piece in new_side(*ust.source, ROW):
                 check_deadline()
-                accs[ust.result[0]].add(transformed(piece, "collapse" if ust.collapse else None))
-        built.clear()
+                accs[ust.result[0]].add(_apply_transform(piece, ust.transform, n, k))
 
         # what survives the mask of the stored matrix is the next delta
         check_deadline()

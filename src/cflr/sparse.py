@@ -417,10 +417,7 @@ def spgemm(
     if counter is not None:
         counter.spgemm_calls += 1
         counter.scalar_ops += sops
-    if into is None:
-        # every line was put once, without repeats
-        return BoolMat(a.rows, b.cols, ROW, {i: sorted(v) for i, v in target.lines.items()})
-    return None
+    return masked(target, ()) if into is None else None
 
 
 def _outer_product(a: BoolMat, b: BoolMat, put, ints: bool) -> int:

@@ -226,8 +226,14 @@ def test_undecodable_input_file_is_one_line_input_error(flag, tmp_path, capsys):
         ["bench", "--graph", "chain(4)", "--variants", " , "],
         ["check", "--graph", "chain(4)", "--variants", "ma1,ma9"],
         ["bench", "--graph", "chain(4)", "--variants", "ma1,,bogus"],
+        # ma12345 is a grammar choice; refused before the (missing) graph is read
+        ["check", "--graph", "missing.txt", "--preset", "fsjpt", "--variants", "ma1,ma12345"],
+        ["bench", "--graph", "missing.txt", "--preset", "fsjpt", "--variants", "ma12345"],
     ],
-    ids=["check-empty", "bench-empty", "check-unknown", "bench-unknown"],
+    ids=[
+        "check-empty", "bench-empty", "check-unknown", "bench-unknown",
+        "check-ma12345", "bench-ma12345",
+    ],
 )
 def test_bad_variant_list_is_one_line_usage_error(argv, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

@@ -5,11 +5,13 @@ a digest), the three work counters and the iteration count must equal the
 values recorded below.  A change to the engine's data layout or kernels
 must leave all of them exactly as they are.  The cases are random(40, 90,
 3) graphs for every preset, a bracket chain whose stored lines stay as
-position lists, and a transitive closure whose stored lines switch to bit
-rows partway through the solve.  Under dual_format a left operand's
-column-major copy is dropped where M_old * delta cannot read it, and the
-products it fed are still formed, against empty stand-ins: the last tests
-check the premise that keeps the counters unchanged.
+position lists, a transitive closure whose stored lines switch to bit
+rows partway through the solve, and two indexed cases that collapse index
+blocks: one a binary rule's right operand, one a unit rule's source.
+Under dual_format a left operand's column-major copy is dropped where
+M_old * delta cannot read it, and the products it fed are still formed,
+against empty stand-ins: the last tests check the premise that keeps the
+counters unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from cflr import PRESET_NAMES, VariantFlags, ensure_wcnf, load_graph, preset, solve, solver
 from cflr.grammar import parse_grammar
 from cflr.graph import chain_graph
+from cflr.oracle import oracle_solve
 from cflr import sparse
 from cflr.semiring import HBLOCK, PLAIN, build_rule_plan
 from cflr.sparse import COL, OUTER, ROW
@@ -38,15 +41,35 @@ CLOSURE_GRAPH = "".join(f"{i} a {i + 1}\n" for i in range(60)) + "".join(
     f"{i} b {i + 1}\n" for i in range(61, 361)
 )
 
+# the two operand transforms no preset workload reaches: S -> X Y_[i]
+# collapses its right operand's index blocks, and the unit rule S -> Y_[i]
+# collapses its source's
+RIGHT_COLLAPSE_GRAMMAR = "start: S\nS -> X Y_[i]\nX -> a | X a\nY_[i] -> c_[i] | b Y_[i]\n"
+RIGHT_COLLAPSE_GRAPH = (
+    "".join(f"{i} a {i + 1}\n" for i in range(12))
+    + "".join(f"{i} b {i + 1}\n" for i in range(12, 18))
+    + "18 c_f0 19\n18 c_f1 20\n"
+)
+UNIT_COLLAPSE_GRAMMAR = "start: S\nS -> Y_[i] | S a\nY_[i] -> c_[i] | b Y_[i]\n"
+UNIT_COLLAPSE_GRAPH = "".join(f"{i} b {i + 1}\n" for i in range(5)) + (
+    "5 c_f0 6\n5 c_f1 7\n7 a 8\n2 c_f2 9\n"
+)
+TEXT_CASES = {
+    "closure": (CLOSURE_GRAMMAR, CLOSURE_GRAPH),
+    "right-collapse": (RIGHT_COLLAPSE_GRAMMAR, RIGHT_COLLAPSE_GRAPH),
+    "unit-collapse": (UNIT_COLLAPSE_GRAMMAR, UNIT_COLLAPSE_GRAPH),
+}
+
 
 def case(name: str):
     """(grammar, graph) of a named case."""
     if name == "chain":
         g = ensure_wcnf(preset("dyck"))
         return g, chain_graph(400)
-    if name == "closure":
-        g = ensure_wcnf(parse_grammar(CLOSURE_GRAMMAR))
-        return g, load_graph(CLOSURE_GRAPH, g)
+    if name in TEXT_CASES:
+        grammar_text, graph_text = TEXT_CASES[name]
+        g = ensure_wcnf(parse_grammar(grammar_text))
+        return g, load_graph(graph_text, g)
     preset_name, seed = name.rsplit(":", 1)
     g = ensure_wcnf(preset(preset_name))
     return g, load_graph(sized_graph_text(g, random.Random(int(seed)), 40, 90, 3), g)
@@ -64,7 +87,9 @@ def measure(name: str, variant: str):
     return r, (digest(r.triples()), c.spgemm_calls, c.scalar_ops, c.union_entries, r.iterations)
 
 
-CASE_NAMES = [f"{p}:{seed}" for p in PRESET_NAMES for seed in (1, 2)] + ["chain", "closure"]
+CASE_NAMES = [f"{p}:{seed}" for p in PRESET_NAMES for seed in (1, 2)] + [
+    "chain", "closure", "right-collapse", "unit-collapse",
+]
 
 # (triple digest, spgemm_calls, scalar_ops, union_entries, iterations)
 PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
@@ -148,6 +173,14 @@ PINNED: dict[tuple[str, str], tuple[str, int, int, int, int]] = {
     ('closure', 'ma1'): ('9c8f8dbeed8bea8a', 14, 35990, 7869, 7),
     ('closure', 'ma14'): ('9c8f8dbeed8bea8a', 14, 35990, 7869, 7),
     ('closure', 'ma1234'): ('9c8f8dbeed8bea8a', 13, 35990, 9279, 7),
+    ('right-collapse', 'ma'): ('f9c1d44f5c9389e7', 65, 902, 1036, 13),
+    ('right-collapse', 'ma1'): ('f9c1d44f5c9389e7', 130, 102, 236, 13),
+    ('right-collapse', 'ma14'): ('f9c1d44f5c9389e7', 78, 102, 236, 13),
+    ('right-collapse', 'ma1234'): ('f9c1d44f5c9389e7', 83, 102, 256, 13),
+    ('unit-collapse', 'ma'): ('70f1c4a55549baa0', 32, 102, 231, 8),
+    ('unit-collapse', 'ma1'): ('70f1c4a55549baa0', 64, 18, 75, 8),
+    ('unit-collapse', 'ma14'): ('70f1c4a55549baa0', 32, 18, 75, 8),
+    ('unit-collapse', 'ma1234'): ('70f1c4a55549baa0', 29, 18, 61, 8),
 }
 
 
@@ -163,6 +196,27 @@ def test_counters_and_triples_are_pinned(name):
         assert got == PINNED[name, variant], variant
         if name in FINAL_BITS:
             assert r.matrices.mats[r.grammar.start, PLAIN].bits is FINAL_BITS[name], variant
+
+
+@pytest.mark.parametrize("name", ["right-collapse", "unit-collapse"])
+def test_collapse_cases_collapse_entries(monkeypatch, name):
+    """The two collapse cases agree with the oracle, and under block
+    execution each collapses index blocks that hold entries, so the
+    transform they pin is really run."""
+    g, graph = case(name)
+    nonempty = []
+    collapse = sparse.block_collapse
+
+    def recording(h, *args):
+        nonempty.append(h.nnz > 0)
+        return collapse(h, *args)
+
+    monkeypatch.setattr(sparse, "block_collapse", recording)
+    for variant in ("ma14", "ma1234"):
+        nonempty.clear()
+        r = solve(graph, g, VariantFlags.named(variant))
+        assert r.triples() == oracle_solve(graph, g), variant
+        assert any(nonempty), variant
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

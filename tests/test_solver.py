@@ -419,48 +419,6 @@ class TestSolve:
         assert iterations == [1]
         assert 1 == len(calls) < per_iteration
 
-    def test_right_transform_is_built_once_per_operand(self, monkeypatch):
-        """A ``c -> x y_i`` rule collapses its right operand.  While x's
-        forest holds two or more pieces, each right operand is still
-        collapsed once per iteration, not once per left piece."""
-        g = ensure_wcnf(
-            parse_grammar(
-                "start: S\nS -> X Y_[i]\nX -> a | X a\nY_[i] -> c_[i] | b Y_[i]\n"
-            )
-        )
-        lines = [f"{i} a {i + 1}" for i in range(12)]
-        lines += [f"{i} b {i + 1}" for i in range(12, 18)]
-        lines += ["18 c_f0 19", "18 c_f1 20"]
-        graph = load_graph("\n".join(lines) + "\n", g)
-        collapsed: list[list] = []  # per iteration: the matrices collapsed
-        uses: list[list] = []  # per iteration: right operands of products
-        collapse, spgemm = cflr.sparse.block_collapse, cflr.sparse.spgemm
-
-        def counting_collapse(h, *args):
-            out = collapse(h, *args)
-            collapsed[-1].append((h, out))
-            return out
-
-        def counting_spgemm(a, b, *args, **kwargs):
-            uses[-1].append(b)
-            return spgemm(a, b, *args, **kwargs)
-
-        def next_iteration(*_):
-            collapsed.append([])
-            uses.append([])
-
-        monkeypatch.setattr(cflr.sparse, "block_collapse", counting_collapse)
-        monkeypatch.setattr(cflr.sparse, "spgemm", counting_spgemm)
-        r = solve(graph, g, VariantFlags.named("ma1234", b=2), iteration_hook=next_iteration)
-        assert r.triples() == oracle_solve(graph, g)
-        most_pieces = 0
-        for calls, rights in zip(collapsed, uses):
-            sources = [h for h, _ in calls]
-            assert all(sum(h is o for o in sources) == 1 for h in sources)
-            for _, out in calls:
-                most_pieces = max(most_pieces, sum(out is b for b in rights))
-        assert most_pieces >= 2  # some collapsed operand met two left pieces
-
     def test_result_reports_executed_grammar(self):
         g = ensure_wcnf(preset("cscvf-wcnf"))
         graph = load_graph("0 call_f1 1\n1 ret_f1 0\n", g)
