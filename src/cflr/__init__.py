@@ -36,13 +36,7 @@ from .graph import (
     serialize_graph,
 )
 from .oracle import ReachTriple, oracle_solve
-from .semiring import (
-    NontermMatrix,
-    apply_unit_rules,
-    initial_matrix,
-    scalar_mul,
-    semiring_matmul,
-)
+from .semiring import NontermMatrix, initial_matrix, scalar_mul
 from .solver import (
     MatrixForest,
     SolveResult,
@@ -73,7 +67,6 @@ __all__ = [
     "VariantFlags",
     "WcnfGrammar",
     "WcnfViolationError",
-    "apply_unit_rules",
     "chain_graph",
     "ensure_wcnf",
     "expand_indexed",
@@ -85,7 +78,6 @@ __all__ = [
     "parse_grammar",
     "preset",
     "scalar_mul",
-    "semiring_matmul",
     "serialize_graph",
     "serialize_grammar",
     "solve",

@@ -61,11 +61,14 @@ def _variants(args) -> list[str]:
 
 
 def _bad_usage(args) -> str | None:
-    """The problem with the numeric flags or the variant list, if any."""
+    """The problem with the numeric flags, the grammar flags or the variant
+    list, if any."""
     for attr, low in _MINIMUMS.items():
         value = getattr(args, attr, None)
         if value is not None and not value >= low:  # NaN fails too
             return f"--{attr.replace('_', '-')} must be at least {low}, got {value}"
+    if args.grammar is not None and args.preset is not None:
+        return "pass either --grammar or --preset, not both"
     if getattr(args, "variants", None) is not None:
         names = _variants(args)
         if not names or not set(names) <= set(VARIANT_NAMES):

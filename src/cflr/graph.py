@@ -23,22 +23,24 @@ class LabeledGraph:
     vertex_names: tuple[str, ...]
     edges: tuple[tuple[int, Symbol, int], ...]
     index_universe: tuple[str, ...]
-    label_index: dict[Symbol, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    # each label's (source, target) pairs in edge order, labels in order of
+    # first appearance; derived from ``edges``, so the two always agree
+    label_index: dict[Symbol, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        by_label: dict[Symbol, list[tuple[int, int]]] = {}
+        for u, sym, v in self.edges:
+            by_label.setdefault(sym, []).append((u, v))
+        index = {k: tuple(v) for k, v in by_label.items()}
+        object.__setattr__(self, "label_index", index)
 
 
 def _assemble(
     names: list[str], edges: list[tuple[int, Symbol, int]], universe: list[str]
 ) -> LabeledGraph:
-    by_label: dict[Symbol, list[tuple[int, int]]] = {}
-    for u, sym, v in edges:
-        by_label.setdefault(sym, []).append((u, v))
-    return LabeledGraph(
-        vertex_count=len(names),
-        vertex_names=tuple(names),
-        edges=tuple(edges),
-        index_universe=tuple(universe),
-        label_index={k: tuple(v) for k, v in by_label.items()},
-    )
+    return LabeledGraph(len(names), tuple(names), tuple(edges), tuple(universe))
 
 
 def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") -> LabeledGraph:

@@ -26,7 +26,7 @@ from typing import Iterable
 from . import sparse
 from .grammar import EPSILON, NONTERMINAL, TERMINAL, Symbol, WcnfGrammar
 from .graph import LabeledGraph
-from .sparse import Accumulator, BoolMat, OpCounter
+from .sparse import BoolMat, OpCounter
 
 PLAIN = "plain"
 HBLOCK = "h"
@@ -182,20 +182,6 @@ class NontermMatrix:
                 return sparse.horizontal_to_vertical(h, self.size, self.k)
         return BoolMat.empty(*self.dims(repr_))
 
-    def cell(self, i: int, j: int) -> frozenset[Symbol]:
-        """The symbol set at logical position (i, j)."""
-        out = []
-        n = self.size
-        for (sym, repr_), m in self.mats.items():
-            if repr_ == PLAIN:
-                if m.get(i, j):
-                    out.append(sym)
-            elif repr_ == HBLOCK:
-                for t, tag in enumerate(self.universe):
-                    if m.get(i, t * n + j):
-                        out.append(Symbol(sym.kind, sym.base, tag))
-        return frozenset(out)
-
     def pairs(self, sym: Symbol) -> list[tuple[int, int]]:
         """Sorted (source, target) pairs for a plain or concrete-indexed
         symbol."""
@@ -230,9 +216,6 @@ class NontermMatrix:
                     out.add((Symbol(sym.kind, sym.base, self.universe[t]), i, jj))
         return frozenset(out)
 
-    def total_nnz(self) -> int:
-        return sum(m.nnz for (sym, r), m in self.mats.items() if r != VBLOCK)
-
     def union(self, other: "NontermMatrix", counter: OpCounter | None = None) -> "NontermMatrix":
         if (self.size, self.universe) != (other.size, other.universe):
             raise ValueError("matrix collections disagree on shape")
@@ -258,52 +241,76 @@ def initial_matrix(
     """Seed matrices from the graph: one entry per edge for every terminal
     rule (block slot entries for indexed terminals), full diagonals for
     epsilon rules, and the constant adjacency of every terminal consumed
-    by a binary rule."""
+    by a binary rule.
+
+    The seeds are built label by label from ``graph.label_index``: each
+    label's targets (a matrix and a column offset each) are worked out
+    once, and the label's pairs are then added to their rows."""
     n = graph.vertex_count
     universe = graph.index_universe if indexed_blocks and g.is_indexed else ()
-    slot = {tag: at for at, tag in enumerate(universe)}
     k = len(universe)
-
-    entries: dict[MatKey, list[tuple[int, int]]] = {}
-
-    def put(sym: Symbol, repr_: str, i: int, j: int) -> None:
-        entries.setdefault((sym, repr_), []).append((i, j))
-
     operand_terms = {
         s for _, x, y in g.binary_rules for s in (x, y) if s.kind == TERMINAL
     }
-
     indexed_term_bases = g.indexed_terminal_bases() if indexed_blocks else frozenset()
 
-    for u, esym, v in graph.edges:
-        if esym.index is not None and esym.base in indexed_term_bases:
-            gterm = Symbol(TERMINAL, esym.base, g.index_variable)
-            t = slot[esym.index]
-            for lhs in g.terminal_rules.get(gterm, ()):
-                if g.is_indexed_symbol(lhs):
-                    put(lhs, HBLOCK, u, t * n + v)
-                else:
-                    put(lhs, PLAIN, u, v)
-            if gterm in operand_terms:
-                put(gterm, HBLOCK, u, t * n + v)
+    # the rows of every seed matrix, each a list of positions that may be
+    # unsorted and repeated until the end
+    rows: dict[MatKey, dict[int, list[int]]] = {}
+
+    def lines(sym: Symbol, repr_: str) -> dict[int, list[int]]:
+        return rows.setdefault((sym, repr_), {})
+
+    for label, pairs in graph.label_index.items():
+        if label.index is not None and label.base in indexed_term_bases:
+            # a family member: its pairs land in its block slot, or in the
+            # plain matrix of a left-hand side outside the family
+            term = Symbol(TERMINAL, label.base, g.index_variable)
+            off = universe.index(label.index) * n
+            targets = [
+                (lines(lhs, HBLOCK), off) if g.is_indexed_symbol(lhs) else (lines(lhs, PLAIN), 0)
+                for lhs in g.terminal_rules.get(term, ())
+            ]
+            if term in operand_terms:
+                targets.append((lines(term, HBLOCK), off))
         else:
-            for lhs in g.terminal_rules.get(esym, ()):
-                put(lhs, PLAIN, u, v)
-            if esym in operand_terms:
-                put(esym, PLAIN, u, v)
+            targets = [(lines(lhs, PLAIN), 0) for lhs in g.terminal_rules.get(label, ())]
+            if label in operand_terms:
+                targets.append((lines(label, PLAIN), 0))
+        for out, off in targets:
+            get = out.get
+            for u, v in pairs:
+                if off:  # slot 0 shares the graph's int objects
+                    v += off
+                row = get(u)
+                if row is None:
+                    out[u] = [v]
+                else:
+                    row.append(v)
 
     for lhs in g.terminal_rules.get(EPSILON, ()):
-        if indexed_blocks and g.is_indexed_symbol(lhs):
-            for t in range(k):
-                for u in range(n):
-                    put(lhs, HBLOCK, u, t * n + u)
-        else:
-            for u in range(n):
-                put(lhs, PLAIN, u, u)
+        blocked = indexed_blocks and g.is_indexed_symbol(lhs)
+        if blocked and not k:
+            continue  # a family without index values has no block slot
+        out = lines(lhs, HBLOCK if blocked else PLAIN)
+        get = out.get
+        for u in range(n):
+            # the diagonal entry of slot 0, then those of the other slots
+            row = get(u)
+            if row is None:
+                out[u] = row = [u]
+            else:
+                row.append(u)
+            if blocked:
+                row.extend(range(u + n, k * n, n))
 
     mats: dict[MatKey, BoolMat] = {}
-    for (sym, repr_), ents in entries.items():
-        mats[(sym, repr_)] = BoolMat.from_entries(*matrix_dims(repr_, n, k), ents)
+    for (sym, repr_), out in rows.items():
+        for u, row in out.items():
+            if len(row) > 1:
+                out[u] = sparse._line(set(row))
+        if out:
+            mats[(sym, repr_)] = BoolMat(*matrix_dims(repr_, n, k), sparse.ROW, out)
     return NontermMatrix(n, universe, mats)
 
 
@@ -317,54 +324,3 @@ def _apply_transform(m: BoolMat, transform: str | None, n: int, k: int) -> BoolM
     if transform == "collapse":
         return sparse.block_collapse(m, n, k)
     raise ValueError(f"unknown transform {transform!r}")
-
-
-def _accumulator(accs: dict[MatKey, Accumulator], key: MatKey, n: int, k: int) -> Accumulator:
-    """The accumulator of ``key``'s symbol in its canonical representation,
-    where vertical family blocks land in the horizontal one."""
-    key = (key[0], HBLOCK if key[1] == VBLOCK else key[1])
-    if key not in accs:
-        accs[key] = Accumulator(*matrix_dims(key[1], n, k))
-    return accs[key]
-
-
-def semiring_matmul(
-    left: NontermMatrix,
-    right: NontermMatrix,
-    g: WcnfGrammar,
-    indexed_blocks: bool = False,
-    counter: OpCounter | None = None,
-) -> NontermMatrix:
-    """The algebra's matrix product: one Boolean product per binary rule
-    (per rule family with ``indexed_blocks``), gathered per result symbol.
-    Unit rules are not part of the product."""
-    if (left.size, left.universe) != (right.size, right.universe):
-        raise ValueError("operand collections disagree on shape")
-    n, k = left.size, left.k
-    plan = build_rule_plan(g, indexed_blocks)
-    accs: dict[MatKey, Accumulator] = {}
-    for step in plan.bin_steps:
-        lmat = _apply_transform(left.fetch(step.left), step.left_transform, n, k)
-        rmat = _apply_transform(right.fetch(step.right), step.right_transform, n, k)
-        acc = _accumulator(accs, step.result, n, k)
-        sparse.spgemm(lmat, rmat, sparse.ROW_BY_ROW, counter, into=acc)
-    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
-    return NontermMatrix(n, left.universe, mats)
-
-
-def apply_unit_rules(
-    source: NontermMatrix,
-    g: WcnfGrammar,
-    indexed_blocks: bool = False,
-    counter: OpCounter | None = None,
-) -> NontermMatrix:
-    """Entries contributed by unit rules when their sources hold
-    ``source``'s entries."""
-    n, k = source.size, source.k
-    plan = build_rule_plan(g, indexed_blocks)
-    accs: dict[MatKey, Accumulator] = {}
-    for step in plan.unit_steps:
-        piece = _apply_transform(source.fetch(step.source), step.transform, n, k)
-        _accumulator(accs, step.result, n, k).add(piece)
-    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
-    return NontermMatrix(n, source.universe, mats)

@@ -286,8 +286,7 @@ class Accumulator:
         iterable of positions without.  A matrix of this accumulator's
         shape is added as it is.  An n x k*n accumulator of horizontal
         blocks also takes a k*n x n matrix of vertical blocks: entry
-        (t*n + u, w) goes to (u, t*n + w), as in
-        :func:`vertical_to_horizontal`."""
+        (t*n + u, w) goes to (u, t*n + w)."""
         n = None if (rows, cols) == (self.rows, self.cols) else self._block_size(rows, cols)
         lines = self.lines
         get = lines.get
@@ -620,68 +619,99 @@ def convert(a: BoolMat, layout: str) -> BoolMat:
     return BoolMat(a.rows, a.cols, layout, buckets)
 
 
-def _remap(a: BoolMat, rows: int, cols: int, move) -> BoolMat:
-    """Rebuild ``a`` in list form with every entry (i, j) moved to
-    move(i, j)."""
-    buckets: dict[int, set[int]] = {}
-    if a.layout == ROW:
-        for i, line in _list_lines(a).items():
-            for j in line:
-                ni, nj = move(i, j)
-                buckets.setdefault(ni, set()).add(nj)
-    else:
-        for j, line in _list_lines(a).items():
-            for i in line:
-                ni, nj = move(i, j)
-                buckets.setdefault(nj, set()).add(ni)
-    return BoolMat(rows, cols, a.layout, {k: sorted(v) for k, v in buckets.items()})
+def _exact(lines: dict[int, list[int]]) -> dict[int, list[int]]:
+    """``lines`` with every line of two or more positions copied, in place,
+    into a list of exactly its length.  A line of one position is built as
+    a literal, which is exact already; a longer line built by appends has
+    spare slots, which a stored copy would keep for the rest of the
+    solve."""
+    for key, line in lines.items():
+        if len(line) > 1:
+            lines[key] = line[:]
+    return lines
 
 
-def block_offset(a: BoolMat, slot: int, universe: int, side: str) -> BoolMat:
-    """Place a square matrix into block ``slot`` of a 1 x k (horizontal) or
-    k x 1 (vertical) block matrix over a ``universe`` of k index slots."""
-    if a.rows != a.cols:
-        raise ValueError("block_offset expects a square matrix")
-    if not (0 <= slot < universe):
-        raise ValueError(f"slot {slot} out of range for universe {universe}")
-    n = a.rows
-    off = slot * n
-    if side == "horizontal":
-        return _remap(a, n, universe * n, lambda i, j: (i, j + off))
-    if side == "vertical":
-        return _remap(a, universe * n, n, lambda i, j: (i + off, j))
-    raise ValueError(f"unknown side {side!r}")
+def _line(positions: set[int]) -> list[int]:
+    """The positions as a sorted line, in a list of exactly their number."""
+    return sorted(positions)[:] if len(positions) > 1 else [min(positions)]
+
+
+def _check_blocks(m: BoolMat, rows: int, cols: int, kind: str) -> None:
+    if m.shape() != (rows, cols):
+        raise ValueError(f"expected {rows}x{cols} {kind} blocks, got {m.shape()}")
+
+
+# The block moves below work line by line on either layout and return list
+# form.  A sorted line meets each block in one sorted run, so a run moves
+# as a whole.
 
 
 def block_diagonalize(v: BoolMat, block_size: int, universe: int) -> BoolMat:
     """Spread a vertical block matrix onto the block diagonal: entry
     (t*n + u, w) becomes (t*n + u, t*n + w)."""
     n = block_size
-    if v.rows != universe * n or v.cols != n:
-        raise ValueError(f"expected {universe * n}x{n} vertical blocks, got {v.shape()}")
-    return _remap(v, universe * n, universe * n, lambda i, j: (i, (i // n) * n + j))
+    _check_blocks(v, universe * n, n, "vertical")
+    out: dict[int, list[int]] = {}
+    if v.layout == ROW:
+        # row t*n + u keeps its key and moves right by t*n
+        for i, line in _list_lines(v).items():
+            off = i - i % n
+            out[i] = [p + off for p in line] if len(line) > 1 else [line[0] + off]
+        _exact(out)
+    else:
+        # column w's run of rows in block t is column t*n + w
+        for w, line in _list_lines(v).items():
+            lo, end = 0, len(line)
+            while lo < end:
+                off = line[lo] - line[lo] % n
+                hi = bisect_left(line, off + n, lo)
+                out[off + w] = line[lo:hi]
+                lo = hi
+    return BoolMat(universe * n, universe * n, v.layout, out)
 
 
 def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     """Union the column blocks of a horizontal block matrix: entry
     (u, t*n + w) becomes (u, w)."""
     n = block_size
-    if h.rows != n or h.cols != universe * n:
-        raise ValueError(f"expected {n}x{universe * n} horizontal blocks, got {h.shape()}")
-    return _remap(h, n, n, lambda i, j: (i, j % n))
+    _check_blocks(h, n, universe * n, "horizontal")
+    if h.layout == ROW:
+        out = {u: _line({p % n for p in line}) for u, line in _list_lines(h).items()}
+    else:
+        # column w gathers column t*n + w of every slot t
+        cols: dict[int, set[int]] = {}
+        for j, line in _list_lines(h).items():
+            cols.setdefault(j % n, set()).update(line)
+        out = {w: _line(col) for w, col in cols.items()}
+    return BoolMat(n, n, h.layout, out)
 
 
 def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:
-    """Re-index per-slot blocks from horizontal to vertical storage."""
+    """Re-index per-slot blocks from horizontal to vertical storage: entry
+    (u, t*n + w) becomes (t*n + u, w)."""
     n = block_size
-    if h.rows != n or h.cols != universe * n:
-        raise ValueError(f"expected {n}x{universe * n} horizontal blocks, got {h.shape()}")
-    return _remap(h, universe * n, n, lambda i, j: ((j // n) * n + i, j % n))
-
-
-def vertical_to_horizontal(v: BoolMat, block_size: int, universe: int) -> BoolMat:
-    """Inverse of :func:`horizontal_to_vertical`."""
-    n = block_size
-    if v.rows != universe * n or v.cols != n:
-        raise ValueError(f"expected {universe * n}x{n} vertical blocks, got {v.shape()}")
-    return _remap(v, n, universe * n, lambda i, j: (i % n, (i // n) * n + j))
+    _check_blocks(h, n, universe * n, "horizontal")
+    out: dict[int, list[int]] = {}
+    if h.layout == ROW:
+        # row u's run in block t, moved left by t*n, is row t*n + u; block
+        # 0 keeps its int objects, which a stored copy then shares
+        for u, line in _list_lines(h).items():
+            t0 = -1
+            for p in line:
+                t = p // n
+                if t != t0:
+                    t0, off = t, t * n
+                    out[off + u] = row = [p - off if off else p]
+                else:
+                    row.append(p - off if off else p)
+    else:
+        # column t*n + w, moved down by t*n, is block t of column w; taken
+        # in slot order, the blocks keep column w sorted
+        lines = _list_lines(h)
+        for j in sorted(lines):
+            off = j - j % n
+            line = lines[j]
+            run = [i + off for i in line] if len(line) > 1 else [line[0] + off]
+            col = out.get(j - off)
+            out[j - off] = run if col is None else col + run
+    return BoolMat(universe * n, n, h.layout, _exact(out))

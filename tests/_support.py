@@ -1,8 +1,14 @@
 """Shared test helpers: random instance generation, dense reference
-implementations, and a naive closure for grammars of arbitrary shape.
+implementations, a naive closure for grammars of arbitrary shape, the
+entry-by-entry forms of the engine's seeds and block moves, and the
+reference algebra over symbol-matrix collections (``semiring_matmul``,
+``apply_unit_rules``).
 
-Everything here is deliberately independent of the engine's sparse kernels
-and rule plans, so tests compare two separately derived answers.
+The instance generators, dense references and the naive closure are
+deliberately independent of the engine's sparse kernels and rule plans, so
+tests compare two separately derived answers.  The reference algebra is
+built from those kernels and plans, one product per rule, so the solver's
+iteration can be checked against it.
 """
 
 from __future__ import annotations
@@ -11,10 +17,21 @@ import random
 
 import numpy as np
 
-from cflr.grammar import Cfg, Symbol, TERMINAL
+from cflr import sparse
+from cflr.grammar import EPSILON, Cfg, Symbol, TERMINAL, WcnfGrammar
 from cflr.graph import LabeledGraph, load_graph
+from cflr.semiring import (
+    HBLOCK,
+    PLAIN,
+    VBLOCK,
+    MatKey,
+    NontermMatrix,
+    _apply_transform,
+    build_rule_plan,
+    matrix_dims,
+)
 from cflr.solver import MatrixForest
-from cflr.sparse import BoolMat, ROW
+from cflr.sparse import Accumulator, BoolMat, OpCounter, ROW, _list_lines
 
 
 def identity(n: int) -> BoolMat:
@@ -186,3 +203,182 @@ def naive_general_reach(
         if s.kind != TERMINAL
         for i, j in pairs
     }
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry references for the engine's line-by-line set-up, and the
+# reference algebra over whole symbol-matrix collections
+
+
+def _remap(a: BoolMat, rows: int, cols: int, move) -> BoolMat:
+    """Rebuild ``a`` in list form with every entry (i, j) moved to
+    move(i, j)."""
+    buckets: dict[int, set[int]] = {}
+    if a.layout == ROW:
+        for i, line in _list_lines(a).items():
+            for j in line:
+                ni, nj = move(i, j)
+                buckets.setdefault(ni, set()).add(nj)
+    else:
+        for j, line in _list_lines(a).items():
+            for i in line:
+                ni, nj = move(i, j)
+                buckets.setdefault(nj, set()).add(ni)
+    return BoolMat(rows, cols, a.layout, {k: sorted(v) for k, v in buckets.items()})
+
+
+def block_offset(a: BoolMat, slot: int, universe: int, side: str) -> BoolMat:
+    """Place a square matrix into block ``slot`` of a 1 x k (horizontal) or
+    k x 1 (vertical) block matrix over a ``universe`` of k index slots."""
+    if a.rows != a.cols:
+        raise ValueError("block_offset expects a square matrix")
+    if not (0 <= slot < universe):
+        raise ValueError(f"slot {slot} out of range for universe {universe}")
+    n = a.rows
+    off = slot * n
+    if side == "horizontal":
+        return _remap(a, n, universe * n, lambda i, j: (i, j + off))
+    if side == "vertical":
+        return _remap(a, universe * n, n, lambda i, j: (i + off, j))
+    raise ValueError(f"unknown side {side!r}")
+
+
+def vertical_to_horizontal(v: BoolMat, block_size: int, universe: int) -> BoolMat:
+    """Inverse of :func:`cflr.sparse.horizontal_to_vertical`."""
+    n = block_size
+    if v.rows != universe * n or v.cols != n:
+        raise ValueError(f"expected {universe * n}x{n} vertical blocks, got {v.shape()}")
+    return _remap(v, n, universe * n, lambda i, j: (i % n, (i // n) * n + j))
+
+
+def remapped_block_moves(n: int, k: int):
+    """The engine's three block moves as ``_remap`` calls, keyed by name:
+    (rows, cols, move) of each."""
+    return {
+        "block_diagonalize": (k * n, k * n, lambda i, j: (i, (i // n) * n + j)),
+        "block_collapse": (n, n, lambda i, j: (i, j % n)),
+        "horizontal_to_vertical": (k * n, n, lambda i, j: ((j // n) * n + i, j % n)),
+    }
+
+
+def initial_matrix_by_edge(
+    graph: LabeledGraph, g: WcnfGrammar, indexed_blocks: bool = False
+) -> NontermMatrix:
+    """The seeds, edge by edge: the reference :func:`cflr.semiring.initial_matrix`
+    is checked against."""
+    n = graph.vertex_count
+    universe = graph.index_universe if indexed_blocks and g.is_indexed else ()
+    slot = {tag: at for at, tag in enumerate(universe)}
+    k = len(universe)
+
+    entries: dict[MatKey, list[tuple[int, int]]] = {}
+
+    def put(sym: Symbol, repr_: str, i: int, j: int) -> None:
+        entries.setdefault((sym, repr_), []).append((i, j))
+
+    operand_terms = {
+        s for _, x, y in g.binary_rules for s in (x, y) if s.kind == TERMINAL
+    }
+
+    indexed_term_bases = g.indexed_terminal_bases() if indexed_blocks else frozenset()
+
+    for u, esym, v in graph.edges:
+        if esym.index is not None and esym.base in indexed_term_bases:
+            gterm = Symbol(TERMINAL, esym.base, g.index_variable)
+            t = slot[esym.index]
+            for lhs in g.terminal_rules.get(gterm, ()):
+                if g.is_indexed_symbol(lhs):
+                    put(lhs, HBLOCK, u, t * n + v)
+                else:
+                    put(lhs, PLAIN, u, v)
+            if gterm in operand_terms:
+                put(gterm, HBLOCK, u, t * n + v)
+        else:
+            for lhs in g.terminal_rules.get(esym, ()):
+                put(lhs, PLAIN, u, v)
+            if esym in operand_terms:
+                put(esym, PLAIN, u, v)
+
+    for lhs in g.terminal_rules.get(EPSILON, ()):
+        if indexed_blocks and g.is_indexed_symbol(lhs):
+            for t in range(k):
+                for u in range(n):
+                    put(lhs, HBLOCK, u, t * n + u)
+        else:
+            for u in range(n):
+                put(lhs, PLAIN, u, u)
+
+    mats: dict[MatKey, BoolMat] = {}
+    for (sym, repr_), ents in entries.items():
+        mats[(sym, repr_)] = BoolMat.from_entries(*matrix_dims(repr_, n, k), ents)
+    return NontermMatrix(n, universe, mats)
+
+
+def cell(m: NontermMatrix, i: int, j: int) -> frozenset[Symbol]:
+    """The symbol set at logical position (i, j) of ``m``."""
+    out = []
+    n = m.size
+    for (sym, repr_), mat in m.mats.items():
+        if repr_ == PLAIN:
+            if mat.get(i, j):
+                out.append(sym)
+        elif repr_ == HBLOCK:
+            for t, tag in enumerate(m.universe):
+                if mat.get(i, t * n + j):
+                    out.append(Symbol(sym.kind, sym.base, tag))
+    return frozenset(out)
+
+
+def total_nnz(m: NontermMatrix) -> int:
+    return sum(mat.nnz for (sym, r), mat in m.mats.items() if r != VBLOCK)
+
+
+def _accumulator(accs: dict[MatKey, Accumulator], key: MatKey, n: int, k: int) -> Accumulator:
+    """The accumulator of ``key``'s symbol in its canonical representation,
+    where vertical family blocks land in the horizontal one."""
+    key = (key[0], HBLOCK if key[1] == VBLOCK else key[1])
+    if key not in accs:
+        accs[key] = Accumulator(*matrix_dims(key[1], n, k))
+    return accs[key]
+
+
+def semiring_matmul(
+    left: NontermMatrix,
+    right: NontermMatrix,
+    g: WcnfGrammar,
+    indexed_blocks: bool = False,
+    counter: OpCounter | None = None,
+) -> NontermMatrix:
+    """The algebra's matrix product: one Boolean product per binary rule
+    (per rule family with ``indexed_blocks``), gathered per result symbol.
+    Unit rules are not part of the product."""
+    if (left.size, left.universe) != (right.size, right.universe):
+        raise ValueError("operand collections disagree on shape")
+    n, k = left.size, left.k
+    plan = build_rule_plan(g, indexed_blocks)
+    accs: dict[MatKey, Accumulator] = {}
+    for step in plan.bin_steps:
+        lmat = _apply_transform(left.fetch(step.left), step.left_transform, n, k)
+        rmat = _apply_transform(right.fetch(step.right), step.right_transform, n, k)
+        acc = _accumulator(accs, step.result, n, k)
+        sparse.spgemm(lmat, rmat, sparse.ROW_BY_ROW, counter, into=acc)
+    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
+    return NontermMatrix(n, left.universe, mats)
+
+
+def apply_unit_rules(
+    source: NontermMatrix,
+    g: WcnfGrammar,
+    indexed_blocks: bool = False,
+    counter: OpCounter | None = None,
+) -> NontermMatrix:
+    """Entries contributed by unit rules when their sources hold
+    ``source``'s entries."""
+    n, k = source.size, source.k
+    plan = build_rule_plan(g, indexed_blocks)
+    accs: dict[MatKey, Accumulator] = {}
+    for step in plan.unit_steps:
+        piece = _apply_transform(source.fetch(step.source), step.transform, n, k)
+        _accumulator(accs, step.result, n, k).add(piece)
+    mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
+    return NontermMatrix(n, source.universe, mats)

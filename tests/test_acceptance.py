@@ -13,10 +13,9 @@ from cflr.cli import EXIT_OK, main
 from cflr.grammar import ensure_wcnf, expand_indexed, preset, to_wcnf
 from cflr.graph import chain_graph, load_graph
 from cflr.oracle import oracle_solve
-from cflr.semiring import semiring_matmul
 from cflr.solver import MatrixForest, VariantFlags, forest_insert, solve
 from cflr.sparse import BoolMat, union
-from _support import random_boolmat, random_graph_text, triple_names
+from _support import random_boolmat, random_graph_text, semiring_matmul, triple_names
 
 VARIANTS = ("ma", "ma1", "ma14", "ma1234")
 

@@ -219,6 +219,22 @@ def test_undecodable_input_file_is_one_line_input_error(flag, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
+def test_grammar_and_preset_together_is_one_line_usage_error(command, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although both grammar flags were given")
+
+    monkeypatch.setattr(cflr.cli, "solve", no_solve)
+    monkeypatch.setattr(cflr.cli, "oracle_solve", no_solve)
+    # neither file exists, so reading either one first would exit 2
+    missing = str(tmp_path / "missing")
+    argv = [command, "--graph", missing + ".txt", "--preset", "dyck", "--grammar", missing + ".cfg"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cflr: pass either --grammar or --preset, not both\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

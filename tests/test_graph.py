@@ -5,11 +5,13 @@ import pytest
 from cflr.grammar import Symbol, ensure_wcnf, preset
 from cflr.graph import (
     GraphFormatError,
+    LabeledGraph,
     chain_graph,
     grid_graph,
     load_graph,
     serialize_graph,
 )
+from cflr.solver import VariantFlags, solve
 
 DYCK = ensure_wcnf(preset("dyck"))
 CSCVF = ensure_wcnf(preset("cscvf-wcnf"))
@@ -114,6 +116,23 @@ class TestSerialize:
         g = load_graph("0 a 1\n1 a 2\n2 b 0\n", DYCK)
         a = Symbol("terminal", "a", None)
         assert g.label_index[a] == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("variant", ["ma1", "ma14", "ma1234"])
+    def test_directly_built_graph_solves_like_the_loaded_one(self, variant):
+        def t(base, tag=None):
+            return Symbol("terminal", base, tag)
+
+        text = "0 call_f1 1\n1 a 2\n2 ret_f1 3\n0 call_f2 1\n1 ret_f2 0\n3 a 3\n"
+        loaded = load_graph(text, CSCVF)
+        edges = (
+            (0, t("call", "f1"), 1), (1, t("a"), 2), (2, t("ret", "f1"), 3),
+            (0, t("call", "f2"), 1), (1, t("ret", "f2"), 0), (3, t("a"), 3),
+        )
+        built = LabeledGraph(4, ("0", "1", "2", "3"), edges, ("f1", "f2"))
+        assert built.label_index == loaded.label_index
+        flags = VariantFlags.named(variant)
+        want = solve(loaded, CSCVF, flags).triples()
+        assert want and solve(built, CSCVF, flags).triples() == want
 
 
 class TestGenerators:

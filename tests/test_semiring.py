@@ -1,26 +1,47 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflr.grammar import Symbol, ensure_wcnf, expand_indexed, parse_grammar, preset
-from cflr.graph import load_graph
+from cflr.graph import LabeledGraph, load_graph
 from cflr.semiring import (
     HBLOCK,
     PLAIN,
     NontermMatrix,
-    apply_unit_rules,
     build_rule_plan,
     initial_matrix,
     scalar_mul,
-    semiring_matmul,
 )
 from cflr.sparse import OpCounter
-from _support import random_graph_text
+from _support import (
+    apply_unit_rules,
+    cell,
+    initial_matrix_by_edge,
+    random_graph_text,
+    semiring_matmul,
+)
 
 CSCVF_WCNF = ensure_wcnf(preset("cscvf-wcnf"))
 FICA_OPT = ensure_wcnf(preset("fica-opt"))
 FSJPT_OPT = ensure_wcnf(preset("fsjpt-opt"))
+# indexed labels, a plain (B) and an indexed (A_[i]) eps rule, labels that
+# feed one nonterminal (a and b feed C; a and call_[i] feed D) and a
+# terminal, a, that is both a rule body and a binary operand
+SEED_GRAMMAR = ensure_wcnf(
+    parse_grammar(
+        """
+        S -> C a | A_[i] ret_[i] | D B
+        A_[i] -> eps | call_[i]
+        B -> eps
+        C -> a | b
+        D -> call_[i] | a
+        """
+    )
+)
+SEED_LABELS = ("a", "b", "x", "call_f0", "call_f1", "call_f2", "ret_f0", "ret_f1")
 
 
 def nt(base, index=None):
@@ -85,6 +106,37 @@ class TestInitialMatrix:
         ret = Symbol("terminal", "ret", "i")
         assert m.mats[(ret, HBLOCK)].entry_set() == {(1, 0)}
 
+    @given(
+        n=st.integers(1, 6),
+        doubled=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_seeds_match_the_edge_by_edge_reference(self, n, doubled, data):
+        # several labels per vertex pair, so labels share (u, v) pairs
+        vertex = st.integers(0, n - 1)
+        labels = st.sets(st.sampled_from(SEED_LABELS), min_size=1)
+        triples = data.draw(st.lists(st.tuples(vertex, labels, vertex), max_size=12))
+        text = "".join(f"{u} {lab} {v}\n" for u, labs, v in triples for lab in sorted(labs))
+        graph = load_graph(text, SEED_GRAMMAR)
+        if doubled:
+            # built directly, every edge twice
+            graph = LabeledGraph(
+                graph.vertex_count, graph.vertex_names, graph.edges * 2, graph.index_universe
+            )
+        g = SEED_GRAMMAR
+        gx = expand_indexed(g, graph.index_universe)
+        for grammar, blocks in ((g, True), (gx, False), (g, False)):
+            got = initial_matrix(graph, grammar, blocks)
+            want = initial_matrix_by_edge(graph, grammar, blocks)
+            assert got.universe == want.universe
+            assert list(got.mats) == list(want.mats)
+            for key, m in got.mats.items():
+                assert m == want.mats[key] and m.shape() == want.mats[key].shape()
+                for line in m.lines.values():
+                    assert line == sorted(set(line))
+                    assert sys.getsizeof(line) == sys.getsizeof(line[:])
+
 
 class TestMatmul:
     def test_zero_in_zero_out(self):
@@ -122,8 +174,8 @@ class TestMatmul:
                 for j in range(n):
                     want = frozenset()
                     for k in range(n):
-                        want |= scalar_mul(m.cell(i, k), m.cell(k, j), g)
-                    got = {s for s in prod.cell(i, j) if s.kind == "nonterminal"}
+                        want |= scalar_mul(cell(m, i, k), cell(m, k, j), g)
+                    got = {s for s in cell(prod, i, j) if s.kind == "nonterminal"}
                     assert got == want, (i, j)
 
     @pytest.mark.parametrize("name", ["fsjpt-opt", "cscvf-wcnf"])

@@ -8,7 +8,6 @@ import cflr.sparse
 from cflr.grammar import ensure_wcnf, parse_grammar, preset
 from cflr.graph import chain_graph, load_graph
 from cflr.oracle import oracle_solve
-from cflr.semiring import semiring_matmul
 from cflr.solver import (
     VARIANT_NAMES,
     MatrixForest,
@@ -24,7 +23,15 @@ from cflr.solver import (
 from cflr.semiring import PLAIN
 from cflr.grammar import nonterminal
 from cflr.sparse import COL, OUTER, ROW, BoolMat, convert, union
-from _support import difference, forest_difference, random_boolmat, random_instance, triple_names
+from _support import (
+    difference,
+    forest_difference,
+    random_boolmat,
+    random_instance,
+    semiring_matmul,
+    total_nnz,
+    triple_names,
+)
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
 
@@ -228,7 +235,7 @@ class TestSolve:
         bound = len(g.nonterminals) * graph.vertex_count**2
 
         def hook(it, m_old, delta, m):
-            sizes.append(m.total_nnz())
+            sizes.append(total_nnz(m))
             # the delta really is new content
             for (sym, repr_), dm in delta.mats.items():
                 old = m_old.mats.get((sym, repr_))

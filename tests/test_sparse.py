@@ -1,9 +1,11 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cflr.sparse
 from cflr.sparse import (
     COL,
     OPERAND_LAYOUTS,
@@ -15,7 +17,6 @@ from cflr.sparse import (
     OpCounter,
     block_collapse,
     block_diagonalize,
-    block_offset,
     convert,
     horizontal_to_vertical,
     _positions,
@@ -23,9 +24,19 @@ from cflr.sparse import (
     merge_into,
     spgemm,
     union,
+)
+from _support import (
+    block_offset,
+    coordinate_text,
+    difference,
+    from_dense,
+    identity,
+    random_boolmat,
+    remapped_block_moves,
+    _remap,
+    to_dense,
     vertical_to_horizontal,
 )
-from _support import coordinate_text, difference, from_dense, identity, random_boolmat, to_dense
 
 
 def shuffled(m, rng):
@@ -472,6 +483,28 @@ class TestBlocks:
         v = horizontal_to_vertical(h, 6, 4)
         assert v.shape() == (24, 6) and v.nnz == h.nnz
         assert vertical_to_horizontal(v, 6, 4) == h
+
+    @given(
+        name=st.sampled_from(["block_diagonalize", "block_collapse", "horizontal_to_vertical"]),
+        n=st.integers(1, 6),
+        k=st.integers(1, 4),
+        layout=st.sampled_from([ROW, COL]),
+        bits=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_moves_match_the_entry_by_entry_remap(self, name, n, k, layout, bits, data):
+        rows, cols = (k * n, n) if name == "block_diagonalize" else (n, k * n)
+        entries = data.draw(entry_lists(rows, cols))
+        m = BoolMat.from_entries(rows, cols, entries, layout).in_form(bits)
+        got = getattr(cflr.sparse, name)(m, n, k)
+        want = _remap(m, *remapped_block_moves(n, k)[name])
+        assert got == want and got.shape() == want.shape()
+        assert got.layout == layout and not got.bits
+        for line in got.lines.values():
+            assert line == sorted(set(line))
+            # exact-size: no spare slots left by appends
+            assert sys.getsizeof(line) == sys.getsizeof(line[:])
 
 
 class TestDebugSerialization:
