@@ -641,9 +641,21 @@ def _check_blocks(m: BoolMat, rows: int, cols: int, kind: str) -> None:
         raise ValueError(f"expected {rows}x{cols} {kind} blocks, got {m.shape()}")
 
 
-# The block moves below work line by line on either layout and return list
-# form.  A sorted line meets each block in one sorted run, so a run moves
-# as a whole.
+def _remap(a: BoolMat, rows: int, cols: int, move) -> BoolMat:
+    """Rebuild ``a`` in list form with every entry (i, j) moved to
+    move(i, j)."""
+    buckets: dict[int, set[int]] = {}
+    if a.layout == ROW:
+        for i, line in _list_lines(a).items():
+            for j in line:
+                ni, nj = move(i, j)
+                buckets.setdefault(ni, set()).add(nj)
+    else:
+        for j, line in _list_lines(a).items():
+            for i in line:
+                ni, nj = move(i, j)
+                buckets.setdefault(nj, set()).add(ni)
+    return BoolMat(rows, cols, a.layout, {k: _line(v) for k, v in buckets.items()})
 
 
 def block_diagonalize(v: BoolMat, block_size: int, universe: int) -> BoolMat:
@@ -651,23 +663,7 @@ def block_diagonalize(v: BoolMat, block_size: int, universe: int) -> BoolMat:
     (t*n + u, w) becomes (t*n + u, t*n + w)."""
     n = block_size
     _check_blocks(v, universe * n, n, "vertical")
-    out: dict[int, list[int]] = {}
-    if v.layout == ROW:
-        # row t*n + u keeps its key and moves right by t*n
-        for i, line in _list_lines(v).items():
-            off = i - i % n
-            out[i] = [p + off for p in line] if len(line) > 1 else [line[0] + off]
-        _exact(out)
-    else:
-        # column w's run of rows in block t is column t*n + w
-        for w, line in _list_lines(v).items():
-            lo, end = 0, len(line)
-            while lo < end:
-                off = line[lo] - line[lo] % n
-                hi = bisect_left(line, off + n, lo)
-                out[off + w] = line[lo:hi]
-                lo = hi
-    return BoolMat(universe * n, universe * n, v.layout, out)
+    return _remap(v, universe * n, universe * n, lambda i, j: (i, (i // n) * n + j))
 
 
 def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
@@ -675,15 +671,7 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     (u, t*n + w) becomes (u, w)."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
-    if h.layout == ROW:
-        out = {u: _line({p % n for p in line}) for u, line in _list_lines(h).items()}
-    else:
-        # column w gathers column t*n + w of every slot t
-        cols: dict[int, set[int]] = {}
-        for j, line in _list_lines(h).items():
-            cols.setdefault(j % n, set()).update(line)
-        out = {w: _line(col) for w, col in cols.items()}
-    return BoolMat(n, n, h.layout, out)
+    return _remap(h, n, n, lambda i, j: (i, j % n))
 
 
 def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:
@@ -691,27 +679,22 @@ def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMa
     (u, t*n + w) becomes (t*n + u, w)."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
+    if h.layout == COL:
+        # the engine only moves row-major blocks; other input goes through
+        # the row path
+        v = convert(horizontal_to_vertical(convert(h, ROW), n, universe), COL)
+        return BoolMat(v.rows, v.cols, COL, {j: line[:] for j, line in v.lines.items()})
     out: dict[int, list[int]] = {}
-    if h.layout == ROW:
-        # row u's run in block t, moved left by t*n, is row t*n + u; block
-        # 0 keeps its int objects, which a stored copy then shares
-        for u, line in _list_lines(h).items():
-            t0 = -1
-            for p in line:
-                t = p // n
-                if t != t0:
-                    t0, off = t, t * n
-                    out[off + u] = row = [p - off if off else p]
-                else:
-                    row.append(p - off if off else p)
-    else:
-        # column t*n + w, moved down by t*n, is block t of column w; taken
-        # in slot order, the blocks keep column w sorted
-        lines = _list_lines(h)
-        for j in sorted(lines):
-            off = j - j % n
-            line = lines[j]
-            run = [i + off for i in line] if len(line) > 1 else [line[0] + off]
-            col = out.get(j - off)
-            out[j - off] = run if col is None else col + run
-    return BoolMat(universe * n, n, h.layout, _exact(out))
+    # a sorted line meets each block in one sorted run: row u's run in
+    # block t, moved left by t*n, is row t*n + u; block 0 keeps its int
+    # objects, which a stored copy then shares
+    for u, line in _list_lines(h).items():
+        t0 = -1
+        for p in line:
+            t = p // n
+            if t != t0:
+                t0, off = t, t * n
+                out[off + u] = row = [p - off if off else p]
+            else:
+                row.append(p - off if off else p)
+    return BoolMat(universe * n, n, ROW, _exact(out))

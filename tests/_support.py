@@ -31,7 +31,7 @@ from cflr.semiring import (
     matrix_dims,
 )
 from cflr.solver import MatrixForest
-from cflr.sparse import Accumulator, BoolMat, OpCounter, ROW, _list_lines
+from cflr.sparse import Accumulator, BoolMat, OpCounter, ROW, _remap
 
 
 def identity(n: int) -> BoolMat:
@@ -206,25 +206,9 @@ def naive_general_reach(
 
 
 # ---------------------------------------------------------------------------
-# entry-by-entry references for the engine's line-by-line set-up, and the
+# entry-by-entry references for the engine's line-by-line set-up (block
+# moves as calls of the engine's own per-entry ``_remap``), and the
 # reference algebra over whole symbol-matrix collections
-
-
-def _remap(a: BoolMat, rows: int, cols: int, move) -> BoolMat:
-    """Rebuild ``a`` in list form with every entry (i, j) moved to
-    move(i, j)."""
-    buckets: dict[int, set[int]] = {}
-    if a.layout == ROW:
-        for i, line in _list_lines(a).items():
-            for j in line:
-                ni, nj = move(i, j)
-                buckets.setdefault(ni, set()).add(nj)
-    else:
-        for j, line in _list_lines(a).items():
-            for i in line:
-                ni, nj = move(i, j)
-                buckets.setdefault(nj, set()).add(ni)
-    return BoolMat(rows, cols, a.layout, {k: sorted(v) for k, v in buckets.items()})
 
 
 def block_offset(a: BoolMat, slot: int, universe: int, side: str) -> BoolMat:
