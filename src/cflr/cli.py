@@ -20,6 +20,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from .grammar import (
     GrammarError,
+    NONTERMINAL,
     OPT_GRAMMAR_FOR,
     Symbol,
     WcnfGrammar,
@@ -135,11 +136,12 @@ def _load_graph(args, g: WcnfGrammar) -> tuple[LabeledGraph, str]:
 
 
 def _pairs_for(matrices: NontermMatrix, name: str) -> list[tuple[int, int]] | None:
+    # terminals are stored too, as rule operands, but are not answers
     for sym, repr_ in matrices.mats:
-        if repr_ == PLAIN and sym.name() == name:
+        if repr_ == PLAIN and sym.kind == NONTERMINAL and sym.name() == name:
             return matrices.pairs(sym)
     for sym, repr_ in matrices.mats:
-        if repr_ == HBLOCK:
+        if repr_ == HBLOCK and sym.kind == NONTERMINAL:
             for tag in matrices.universe:
                 if f"{sym.base}_{tag}" == name:
                     return matrices.pairs(Symbol(sym.kind, sym.base, tag))

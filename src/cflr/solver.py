@@ -28,7 +28,6 @@ from .semiring import (
     HBLOCK,
     PLAIN,
     VBLOCK,
-    BinStep,
     NontermMatrix,
     _apply_transform,
     build_rule_plan,
@@ -66,7 +65,7 @@ class VariantFlags:
         if self.lazy_union and not self.delta:
             raise ValueError("lazy_union requires delta (the forest absorbs deltas)")
         if self.dual_format and not self.delta:
-            raise ValueError("dual_format requires delta (deltas pick the orientation)")
+            raise ValueError("dual_format requires delta (deltas pick the product direction)")
         if not isinstance(self.b, int) or self.b <= 1:
             raise ValueError("forest growth factor b must be an integer > 1")
 
@@ -124,8 +123,8 @@ class MatrixForest:
             bound += 1
         return bound
 
-    def payloads(self, largest_first: bool = False):
-        return self.elements[::-1] if largest_first else list(self.elements)
+    def payloads(self):
+        return list(self.elements)
 
     def insert(self, payload, counter: OpCounter | None = None) -> None:
         """Add a piece (an empty one adds nothing), then merge the smallest
@@ -225,9 +224,6 @@ class _DeltaView:
             m = self._cache[key] = m.in_form(key in st.bit_keys)
         return m
 
-    def bundle(self, keys) -> _Bundle:
-        return _Bundle({key: self.copy(*key) for key in keys}, owned=False)
-
 
 # what a list line costs, its header and then each slot, as measured by
 # this interpreter
@@ -236,12 +232,12 @@ _SLOT_BYTES = sys.getsizeof([None]) - _LIST_BYTES
 
 
 class _Store:
-    """All stored state for one symbol: a single bundle that each delta is
-    merged into in place, or a forest of bundles under lazy union.  The
-    canonical key is row-major and always kept; the symbol's deltas,
-    accumulator and mask are in it.  The other keys are the copies its
-    products read, column-major only for the left operand of an outer
-    product.
+    """All stored state for one symbol, its bundles in one list, largest
+    first: one bundle that each delta is merged into in place, or under
+    lazy union the pieces of a forest of bundles.  The canonical key is
+    row-major and always kept; the symbol's deltas, accumulator and mask
+    are in it.  The other keys are the copies its products read,
+    column-major only for the left operand of an outer product.
 
     Each copy starts with its lines in list form and switches to bit form
     for good once its lines would take no more memory as ints than as
@@ -249,7 +245,7 @@ class _Store:
     and the deltas of this symbol follow the same choice."""
 
     __slots__ = (
-        "sym", "keys", "canonical", "dims", "n", "k", "forest", "bundle", "bit_keys", "pending",
+        "sym", "keys", "canonical", "dims", "n", "k", "forest", "bundles", "bit_keys", "pending",
     )
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
@@ -259,14 +255,10 @@ class _Store:
         self.dims = matrix_dims(canonical[0], n, k)
         self.n = n
         self.k = k
-        if lazy:
-            self.forest: MatrixForest | None = MatrixForest(b, combine=_fold)
-            self.bundle = None
-        else:
-            self.forest = None
-            self.bundle = _Bundle(
-                {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
-            )
+        self.forest = MatrixForest(b, combine=_fold) if lazy else None
+        self.bundles: list[_Bundle] = [] if lazy else [_Bundle(
+            {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
+        )]
         self.bit_keys: set[_StoreKey] = set()
         # the keys still in list form, each with how much more one of its
         # lines takes as an int, as wide as the line, than as an empty list
@@ -277,28 +269,30 @@ class _Store:
             self.pending.append(((repr_, layout), sys.getsizeof((1 << width) - 1) - _LIST_BYTES))
 
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
-        if self.forest is None:
-            return [self.bundle.copies[key]]
-        return [el.copies[key] for el in self.forest.payloads(largest_first=True)]
+        # a loop, not a comprehension: CPython 3.11 makes a function call
+        # for each comprehension, and this runs for every stored operand
+        out = []
+        for el in self.bundles:
+            out.append(el.copies[key])
+        return out
 
     def insert(self, dview: _DeltaView, counter: OpCounter | None) -> None:
-        db = dview.bundle(self.keys)
+        db = _Bundle({key: dview.copy(*key) for key in self.keys}, owned=False)
         if self.forest is None:
-            self.bundle.merge(db, counter)
-            bundles = (self.bundle,)
+            self.bundles[0].merge(db, counter)
         else:
             self.forest.insert(db, counter)
-            bundles = self.forest.elements
+            self.bundles = self.forest.elements[::-1]
         for key, excess in self.pending:
             # switch once the lines would take no more memory as ints
             lines = nnz = 0
-            for el in bundles:
+            for el in self.bundles:
                 m = el.copies[key]
                 lines += len(m.lines)
                 nnz += m.nnz
             if lines * excess <= nnz * _SLOT_BYTES:
                 self.bit_keys.add(key)
-                for el in bundles:
+                for el in self.bundles:
                     el.copies[key] = el.copies[key].in_form(True)
         if len(self.pending) + len(self.bit_keys) > len(self.keys):
             self.pending = [(key, e) for key, e in self.pending if key not in self.bit_keys]
@@ -311,10 +305,10 @@ class _Store:
     def materialized(self) -> BoolMat:
         """Logical matrix in the canonical key (no counter: reporting only)."""
         if self.forest is None:
-            return self.bundle.copies[self.canonical]
+            return self.bundles[0].copies[self.canonical]
         out = BoolMat.empty(*self.dims)
-        for el in self.forest.payloads(largest_first=True):
-            out = sparse.union(out, el.copies[self.canonical])
+        for piece in self.pieces(self.canonical):
+            out = sparse.union(out, piece)
         return out
 
 
@@ -351,8 +345,8 @@ def solve(
     materialized snapshots: ``delta`` is disjoint from ``m_old`` and ``m``
     is their union.  ``deadline`` is a ``time.monotonic()`` instant after
     which :class:`SolveTimeout` is raised: it is checked at the top of
-    every iteration, before each product, before each unit-rule step and
-    before the mask step.
+    every iteration, before each product, each store insert, each
+    unit-rule step and each symbol's mask.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
@@ -396,16 +390,9 @@ def solve(
         for s in syms
     }
 
-    # the seeds are row-major, in each symbol's canonical representation
-    init = initial_matrix(graph, g_run, use_blocks)
-    init_canonical = {sym: m for (sym, _), m in init.mats.items() if sym in stores}
-
     capacity = sum(r * c for r, c in (matrix_dims(canonical[s][0], n, k) for s in syms))
     max_iterations = capacity + 2
 
-    steps_by_result: dict[Symbol, list[BinStep]] = {}
-    for st in plan.bin_steps:
-        steps_by_result.setdefault(st.result[0], []).append(st)
     result_syms = [s for s in syms if s in results]
 
     monotonic = time.monotonic
@@ -414,9 +401,14 @@ def solve(
         if deadline is not None and monotonic() > deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
-    # every variant, the baseline too, starts from the seeds as its delta
+    # every variant, the baseline too, starts from the seeds as its delta;
+    # they are row-major, in each symbol's canonical representation.  The
+    # seed collection is not kept: each seed lives only as long as its
+    # delta, or as a forest piece
     deltas: dict[Symbol, _DeltaView] = {
-        s: _DeltaView(m, stores[s]) for s, m in init_canonical.items() if m.nnz
+        s: _DeltaView(m, stores[s])
+        for (s, _), m in initial_matrix(graph, g_run, use_blocks).mats.items()
+        if s in stores and m.nnz
     }
     # one empty operand per key, for symbols without a delta and for left
     # copies that are not kept: only read
@@ -433,30 +425,27 @@ def solve(
             return store.pieces((repr_, layout))
         # a left copy that is not kept (see needs): one empty stand-in per
         # piece, so the products are still formed and counted
-        return [empty(repr_, layout)] * (1 if store.forest is None else len(store.forest))
+        return [empty(repr_, layout)] * len(store.bundles)
 
     def delta_side(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
         dv = deltas.get(sym)
         return [empty(repr_, layout) if dv is None else dv.copy(repr_, layout)]
 
-    def gather(accs, lefts, rights, orientation: str) -> None:
+    def gather(accs, lefts, rights, left_layout: str) -> None:
         """Multiply every binary step's operands, ``lefts``/``rights`` of
-        (symbol, repr, layout), into its result symbol's accumulator."""
-        left_layout, right_layout = sparse.OPERAND_LAYOUTS[orientation]
-        for sym, steps in steps_by_result.items():
-            acc = accs[sym]
-            for st in steps:
-                ras = [
-                    _apply_transform(m, st.right_transform, n, k)
-                    for m in rights(*st.right, right_layout)
-                ]
-                for lm in lefts(*st.left, left_layout):
-                    la = _apply_transform(lm, st.left_transform, n, k)
-                    for ra in ras:
-                        # check_deadline(), inlined: it runs before every product
-                        if deadline is not None and monotonic() > deadline:
-                            raise SolveTimeout("solve exceeded its deadline")
-                        sparse.spgemm(la, ra, orientation, counter, into=acc)
+        (symbol, repr, layout), into its result symbol's accumulator.  The
+        right operands are row-major; column-major left operands make
+        outer products."""
+        for st in plan.bin_steps:
+            acc = accs[st.result[0]]
+            ras = [_apply_transform(m, st.right_transform, n, k) for m in rights(*st.right, ROW)]
+            for lm in lefts(*st.left, left_layout):
+                la = _apply_transform(lm, st.left_transform, n, k)
+                for ra in ras:
+                    # check_deadline(), inlined: it runs before every product
+                    if deadline is not None and monotonic() > deadline:
+                        raise SolveTimeout("solve exceeded its deadline")
+                    sparse.spgemm(la, ra, counter, into=acc)
 
     def materialized_view(snapshot: bool = False) -> NontermMatrix:
         """Every symbol's matrix, row-major.  These may share lines with
@@ -486,22 +475,22 @@ def solve(
         if flags.delta:
             # M_old * delta, against the stores before the insert; under
             # dual_format the delta's rows drive it through M's columns
-            orientation = sparse.OUTER if flags.dual_format else sparse.ROW_BY_ROW
-            gather(accs, stored, delta_side, orientation)
+            gather(accs, stored, delta_side, COL if flags.dual_format else ROW)
         for s, dv in deltas.items():
+            check_deadline()
             stores[s].insert(dv, counter)
         # delta * M_new (baseline: M * M), then the unit rules
-        gather(accs, new_side, stored, sparse.ROW_BY_ROW)
+        gather(accs, new_side, stored, ROW)
         for ust in plan.unit_steps:
             for piece in new_side(*ust.source, ROW):
                 check_deadline()
                 accs[ust.result[0]].add(_apply_transform(piece, ust.transform, n, k))
 
         # what survives the mask of the stored matrix is the next delta
-        check_deadline()
         deltas = {}
         for s, acc in accs.items():
             if acc:
+                check_deadline()
                 store = stores[s]
                 fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
                 if fresh.nnz:

@@ -1,11 +1,12 @@
 """Sparse Boolean matrices in row- or column-major layout, plus the kernel
-operations the reachability engine is built from: Boolean matrix product
-driven by either operand, element-wise union, layout conversion, the
-block-matrix reshapes used for indexed symbol families, a mutable
-row-major accumulator that gathers many products and is then
-complement-masked, and an in-place merge of a disjoint delta into a stored
-matrix.  Every product is row-major; only the left operand of the outer
-product is column-major.
+operations the reachability engine is built from: Boolean matrix product,
+element-wise union, layout conversion, the block-matrix reshapes used for
+indexed symbol families, a mutable row-major accumulator that gathers many
+products and is then complement-masked, and an in-place merge of a
+disjoint delta into a stored matrix.  Every product and its right operand
+are row-major; the left operand's layout picks which operand drives the
+product: a row-major one drives it row by row, a column-major one lets
+the right operand drive an outer product.
 
 A matrix stores each nonempty line (row in row-major, column in
 column-major) in one of two forms: a sorted duplicate-free list of
@@ -26,11 +27,6 @@ from typing import Iterable, Iterator
 
 ROW = "row"
 COL = "col"
-
-ROW_BY_ROW = "row-by-row"
-OUTER = "outer"
-# the layouts of the left and the right operand in each orientation
-OPERAND_LAYOUTS = {ROW_BY_ROW: (ROW, ROW), OUTER: (COL, ROW)}
 
 
 @dataclass
@@ -140,7 +136,8 @@ class BoolMat:
         """An independent copy in the same form: no line list is shared."""
         if self.bits:
             return BoolMat(self.rows, self.cols, self.layout, dict(self.lines), True)
-        lines = {k: list(v) for k, v in self.lines.items()}
+        # a slice allocates exactly the line's length, list() rounds it up
+        lines = {k: v[:] for k, v in self.lines.items()}
         return BoolMat(self.rows, self.cols, self.layout, lines)
 
     def in_form(self, bits: bool) -> "BoolMat":
@@ -355,23 +352,23 @@ class Accumulator:
 def spgemm(
     a: BoolMat,
     b: BoolMat,
-    orientation: str = ROW_BY_ROW,
     counter: OpCounter | None = None,
     into: Accumulator | None = None,
 ) -> BoolMat | None:
-    """Exact Boolean product a @ b, row-major, for operands in either form
-    in the layouts ``OPERAND_LAYOUTS[orientation]``.
+    """Exact Boolean product a @ b, row-major, for operands in either form.
+    ``b`` must be row-major; a's layout sets the direction.
 
-    Row-by-row iterates the left operand's rows.  The outer product
-    iterates the right operand's rows: a @ b is the sum over k of a[:, k]
-    times b[k, :], so row k of b is added to every row i in column k of
-    the column-major a.  Cost is therefore driven by the operand on the
-    orientation's driving side, which is what makes a sparse delta cheap
-    when placed there.  Row by row, a driving line in bit form is first
-    ANDed with b's key mask, so only its hits are walked.  Each product
-    row is the OR (bit form) or set union (list form) of the rows of b it
-    hits and is put once, so both orientations count the same
-    ``scalar_ops`` and put the same entries.
+    A row-major ``a`` drives the product row by row.  A column-major ``a``
+    makes it an outer product that iterates b's rows: a @ b is the sum
+    over k of a[:, k] times b[k, :], so row k of b is added to every row i
+    in column k of a.  Cost is therefore driven by the left operand when
+    it is row-major and by the right one when the left is column-major,
+    which is what makes a sparse delta cheap when placed there.  Row by
+    row, a driving line in bit form is first ANDed with b's key mask, so
+    only its hits are walked.  Each product row is the OR (bit form) or
+    set union (list form) of the rows of b it hits and is put once, so
+    both directions count the same ``scalar_ops`` and put the same
+    entries.
 
     With ``into`` the product's rows are added to that accumulator, moved
     to its shape as :meth:`Accumulator.sink` says, and nothing is
@@ -379,10 +376,8 @@ def spgemm(
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape()} @ {b.shape()}")
-    if orientation not in OPERAND_LAYOUTS:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    if (a.layout, b.layout) != OPERAND_LAYOUTS[orientation]:
-        raise ValueError(f"{orientation} takes {OPERAND_LAYOUTS[orientation]} operands")
+    if b.layout != ROW:
+        raise ValueError(f"the right operand of a product must be row-major, got {b!r}")
     target = into if into is not None else Accumulator(a.rows, b.cols)
     sops = 0
     # an empty operand makes an empty product: the driver is not walked,
@@ -390,7 +385,7 @@ def spgemm(
     if not (a.nnz and b.nnz):
         if (a.rows, b.cols) != (target.rows, target.cols):
             target._block_size(a.rows, b.cols)
-    elif orientation == OUTER:
+    elif a.layout == COL:
         # product rows are ints when b's lines are, or when they feed a
         # bit-form accumulator
         ints = b.bits or target.bits
@@ -555,7 +550,7 @@ def merge_into(d: BoolMat, m: BoolMat, counter: OpCounter | None = None) -> None
         for k, dline in _list_lines(d).items():
             line = get(k)
             if line is None:
-                lines[k] = list(dline)
+                lines[k] = dline[:]
             else:
                 # a new list of exactly the merged size: an extended list
                 # would keep its growth slack for the rest of the solve

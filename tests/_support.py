@@ -136,9 +136,8 @@ def difference(a: BoolMat, b: BoolMat) -> BoolMat:
 
 
 def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
-    """d minus the forest's logical union, subtracting piece by piece,
-    largest piece first."""
-    for piece in forest.payloads(largest_first=True):
+    """d minus the forest's logical union, subtracting piece by piece."""
+    for piece in forest.payloads():
         d = difference(d, piece)
     return d
 
@@ -345,7 +344,7 @@ def semiring_matmul(
         lmat = _apply_transform(left.fetch(step.left), step.left_transform, n, k)
         rmat = _apply_transform(right.fetch(step.right), step.right_transform, n, k)
         acc = _accumulator(accs, step.result, n, k)
-        sparse.spgemm(lmat, rmat, sparse.ROW_BY_ROW, counter, into=acc)
+        sparse.spgemm(lmat, rmat, counter, into=acc)
     mats = {key: sparse.masked(acc, (), counter) for key, acc in accs.items()}
     return NontermMatrix(n, left.universe, mats)
 

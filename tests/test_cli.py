@@ -155,6 +155,23 @@ class TestSolveCommand:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("variant", ["ma1", "ma14"])
+    @pytest.mark.parametrize("terminal", ["d", "f_f0"])
+    def test_terminal_is_not_a_nonterminal(self, tmp_path, capsys, variant, terminal):
+        """Terminals that are rule operands are stored beside the
+        nonterminals (``f_f0`` as a family member under ma14), but
+        ``--nonterminal`` does not answer with their edges."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 d 1\n1 f_f0 2\n2 f_bar_f0 3\n3 d_bar 4\n")
+        argv = ["solve", "--graph", str(graph), "--preset", "fsca-wcnf", "--variant", variant]
+        assert main(argv + ["--nonterminal", "DV"]) == EXIT_OK
+        assert capsys.readouterr().out == "3 4\n"
+        assert main(argv + ["--nonterminal", terminal]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cflr: unknown nonterminal '{terminal}';")
+        assert len(captured.err.splitlines()) == 1
+
     def test_timeout_exit_code(self, tmp_path):
         rc = main(
             [

@@ -27,7 +27,7 @@ from cflr.graph import chain_graph
 from cflr.oracle import oracle_solve
 from cflr import sparse
 from cflr.semiring import HBLOCK, PLAIN, build_rule_plan
-from cflr.sparse import COL, OUTER, ROW
+from cflr.sparse import COL, ROW
 
 from _support import sized_graph_text
 
@@ -316,10 +316,10 @@ def test_products_against_dropped_column_copies_are_empty(monkeypatch, name):
     stand_in_rights = []  # the right operand's nnz of each stand-in product
     spgemm = sparse.spgemm
 
-    def recording(a, b, orientation, *args, **kwargs):
-        if orientation == OUTER and not a.nnz:
+    def recording(a, b, *args, **kwargs):
+        if a.layout == COL and not a.nnz:
             stand_in_rights.append(b.nnz)
-        return spgemm(a, b, orientation, *args, **kwargs)
+        return spgemm(a, b, *args, **kwargs)
 
     def hook(iteration, m_old, delta, m):
         if iteration > 1:

@@ -1,5 +1,6 @@
 import random
 import time
+import weakref
 
 import pytest
 
@@ -20,9 +21,9 @@ from cflr.solver import (
     _Store,
     _fold,
 )
-from cflr.semiring import PLAIN
+from cflr.semiring import PLAIN, initial_matrix
 from cflr.grammar import nonterminal
-from cflr.sparse import COL, OUTER, ROW, BoolMat, convert, union
+from cflr.sparse import COL, ROW, BoolMat, convert, union
 from _support import (
     difference,
     forest_difference,
@@ -34,6 +35,7 @@ from _support import (
 )
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
+UNITS = parse_grammar("start: S\nS -> A | B\nA -> a | A a\nB -> b | B b\n")
 
 
 class TestVariantFlags:
@@ -263,6 +265,27 @@ class TestSolve:
             assert m_old.to_triples() == old_triples
             assert m.to_triples() == triples
 
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("preset_name", ["dyck", "cscvf-wcnf"])
+    def test_seeds_are_freed_by_iteration_two(self, monkeypatch, variant, preset_name):
+        """The seed collection is not kept beside the stores: once the
+        first deltas are inserted, nothing holds it."""
+        g = ensure_wcnf(preset(preset_name))
+        graph = random_instance(g, random.Random(26), max_vertices=12, max_edges=40, max_indices=3)
+        seeds = []
+
+        def recording(*args, **kwargs):
+            m = initial_matrix(*args, **kwargs)
+            seeds.append(weakref.ref(m))
+            return m
+
+        alive = {}
+        hook = lambda it, *_: alive.setdefault(it, seeds[0]() is not None)  # noqa: E731
+        monkeypatch.setattr(cflr.solver, "initial_matrix", recording)
+        r = solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
+        assert len(seeds) == 1 and r.iterations >= 2
+        assert not any(alive[it] for it in range(2, r.iterations + 1))
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_every_variant_runs_the_delta_skeleton(self, variant):
         """Each iteration of every variant, the baseline included, starts
@@ -358,10 +381,10 @@ class TestSolve:
         spgemm = cflr.sparse.spgemm
         walked: list[list[int]] = []  # per iteration: outer, row-by-row
 
-        def counting_spgemm(a, b, orientation, *args, **kwargs):
-            outer = orientation == OUTER
+        def counting_spgemm(a, b, *args, **kwargs):
+            outer = a.layout == COL
             walked[-1][not outer] += len((b if outer else a).lines)
-            return spgemm(a, b, orientation, *args, **kwargs)
+            return spgemm(a, b, *args, **kwargs)
 
         monkeypatch.setattr(cflr.sparse, "spgemm", counting_spgemm)
         most = {}
@@ -392,17 +415,24 @@ class TestSolve:
             # passes between two products of one symbol
             (parse_grammar("start: S\nS -> a S | b S | a | b\n"), "ma1", "spgemm"),
             # two unit rules: the deadline passes in the first one
-            (parse_grammar("start: S\nS -> A | B\nA -> a | A a\nB -> b | B b\n"), "ma1", "add"),
+            (UNITS, "ma1", "add"),
+            # iteration 1 inserts four deltas and masks three accumulators:
+            # the deadline passes in the first insert or the first mask
+            (UNITS, "ma1", "merge_into"),
+            (UNITS, "ma1", "masked"),
         ],
-        ids=["ma", "ma1", "ma1-two-steps-of-one-symbol", "ma1-unit-rule-step"],
+        ids=[
+            "ma", "ma1", "ma1-two-steps-of-one-symbol", "ma1-unit-rule-step",
+            "ma1-store-insert", "ma1-mask",
+        ],
     )
     def test_deadline_holds_inside_an_iteration(self, monkeypatch, grammar, variant, slow):
         """The deadline passes during the first product (or the first
-        unit-rule step) of iteration 1; the solve stops before the next
-        one."""
+        unit-rule step, store insert or mask) of iteration 1; the solve
+        stops before the next one."""
         g = ensure_wcnf(grammar)
         graph = chain_graph(16)
-        owner = cflr.sparse if slow == "spgemm" else cflr.sparse.Accumulator
+        owner = cflr.sparse.Accumulator if slow == "add" else cflr.sparse
         original = getattr(owner, slow)
         now = [0.0]
         calls = []

@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cflr.sparse
 from cflr.sparse import (
     COL,
-    OPERAND_LAYOUTS,
-    OUTER,
     ROW,
-    ROW_BY_ROW,
     Accumulator,
     BoolMat,
     OpCounter,
@@ -37,6 +34,11 @@ from _support import (
     to_dense,
     vertical_to_horizontal,
 )
+
+
+# the two directions of a product, each with the layout of the left operand
+# that selects it; the right operand is row-major in both
+LEFT_LAYOUT = {"row-by-row": ROW, "outer": COL}
 
 
 def shuffled(m, rng):
@@ -73,11 +75,9 @@ class TestSpgemm:
         a = BoolMat.from_entries(3, 3, [(0, 1)], layout=COL)
         b = BoolMat.from_entries(3, 3, [(1, 2)])
         with pytest.raises(ValueError):
-            spgemm(a, b, ROW_BY_ROW)
+            spgemm(convert(a, ROW), convert(b, COL))
         with pytest.raises(ValueError):
-            spgemm(convert(a, ROW), b, OUTER)
-        with pytest.raises(ValueError):
-            spgemm(a, convert(b, COL), OUTER)
+            spgemm(a, convert(b, COL))
 
     @given(
         st.integers(1, 32),
@@ -90,8 +90,8 @@ class TestSpgemm:
         a = random_boolmat(rng, n, m, density=0.25)
         b = random_boolmat(rng, m, p, density=0.25)
         want = from_dense(to_dense(a) @ to_dense(b))
-        assert spgemm(a, b, ROW_BY_ROW) == want
-        got_outer = spgemm(convert(a, COL), b, OUTER)
+        assert spgemm(a, b) == want
+        got_outer = spgemm(convert(a, COL), b)
         assert got_outer.layout == ROW
         assert got_outer == want
 
@@ -112,7 +112,7 @@ class TestSpgemm:
             c = OpCounter()
             a = random_boolmat(rng, 16, 16)
             b = random_boolmat(rng, 16, 16)
-            spgemm(a, b, ROW_BY_ROW, c)
+            spgemm(a, b, c)
             union(a, b, c)
             counters.append(c)
         assert counters[0] == counters[1]
@@ -122,7 +122,7 @@ class TestSpgemm:
         a = BoolMat.from_entries(2, 2, [(0, 1)])
         b = BoolMat.from_entries(2, 3, [(1, 0), (1, 1), (1, 2)])
         c = OpCounter()
-        spgemm(a, b, ROW_BY_ROW, c)
+        spgemm(a, b, c)
         assert c.spgemm_calls == 1 and c.scalar_ops == 3
 
 
@@ -133,26 +133,26 @@ class TestSpgemm:
 
             __iter__ = values = items
 
-        for orientation in (ROW_BY_ROW, OUTER):
+        for left_layout in (ROW, COL):
             full = BoolMat.from_entries(4, 4, [(0, 1), (2, 3), (3, 0)])
             full.lines = Unwalkable(full.lines)
             # the driver is the left operand row-by-row, the right one in
             # the outer product
-            if orientation == ROW_BY_ROW:
+            if left_layout == ROW:
                 a, b, mismatched = full, BoolMat.empty(4, 4), (full, BoolMat.empty(3, 4))
             else:
                 a, b, mismatched = BoolMat.empty(4, 4, COL), full, (BoolMat.empty(4, 3, COL), full)
             c = OpCounter()
-            got = spgemm(a, b, orientation, c)
+            got = spgemm(a, b, c)
             assert got.nnz == 0 and got.layout == ROW and not got.lines
             assert (c.spgemm_calls, c.scalar_ops) == (1, 0)
             acc = Accumulator(4, 4)
-            assert spgemm(a, b, orientation, c, into=acc) is None
+            assert spgemm(a, b, c, into=acc) is None
             assert not acc.lines and c.spgemm_calls == 2
             with pytest.raises(ValueError):
-                spgemm(*mismatched, orientation, c)
+                spgemm(*mismatched, c)
             with pytest.raises(ValueError):
-                spgemm(a, b, orientation, c, into=Accumulator(4, 5))
+                spgemm(a, b, c, into=Accumulator(4, 5))
             assert c.spgemm_calls == 2  # a call that raised is not counted
 
 
@@ -231,8 +231,8 @@ class TestGatherAndMask:
     representation, the stored pieces)."""
 
     @pytest.mark.parametrize(
-        "orientation, target",
-        [(ROW_BY_ROW, ROW), (OUTER, ROW), (ROW_BY_ROW, COL), (OUTER, COL)],
+        "direction, target",
+        [("row-by-row", ROW), ("outer", ROW), ("row-by-row", COL), ("outer", COL)],
     )
     @given(
         n=st.integers(1, 10),
@@ -241,12 +241,11 @@ class TestGatherAndMask:
         rng=st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_plain_products(self, orientation, target, n, count, masks, rng):
-        la, lb = OPERAND_LAYOUTS[orientation]
+    def test_plain_products(self, direction, target, n, count, masks, rng):
         pairs = [
             (
-                random_boolmat(rng, n, n, rng.random() * 0.5, la),
-                random_boolmat(rng, n, n, rng.random() * 0.5, lb),
+                random_boolmat(rng, n, n, rng.random() * 0.5, LEFT_LAYOUT[direction]),
+                random_boolmat(rng, n, n, rng.random() * 0.5),
             )
             for _ in range(count)
         ]
@@ -254,12 +253,12 @@ class TestGatherAndMask:
         pieces.append(BoolMat.empty(n, n, target))
         acc = Accumulator(n, n)
         for a, b in pairs:
-            assert spgemm(a, b, orientation, into=acc) is None
+            assert spgemm(a, b, into=acc) is None
         # the accumulator and its mask are row-major; a store's column copy
         # of the delta is converted from the row-major result
         got = convert(masked(acc, [convert(p, ROW) for p in pieces]), target)
         want = _union_minus(
-            [spgemm(a, b, orientation) for a, b in pairs],
+            [spgemm(a, b) for a, b in pairs],
             lambda p: convert(p, target),
             pieces,
             n,
@@ -269,7 +268,7 @@ class TestGatherAndMask:
         _assert_same(got, want)
         assert not acc.lines  # masking empties the accumulator
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
+    @pytest.mark.parametrize("direction", LEFT_LAYOUT)
     @given(
         n=st.integers(1, 6),
         k=st.integers(1, 3),
@@ -279,14 +278,13 @@ class TestGatherAndMask:
     )
     @settings(max_examples=60, deadline=None)
     def test_vertical_products_move_to_horizontal_slots(
-        self, orientation, n, k, count, masks, rng
+        self, direction, n, k, count, masks, rng
     ):
         # keep-l products V[c] = V[x] . plain, plus horizontal unit pieces
-        la, lb = OPERAND_LAYOUTS[orientation]
         pairs = [
             (
-                random_boolmat(rng, k * n, n, rng.random() * 0.5, la),
-                random_boolmat(rng, n, n, rng.random() * 0.5, lb),
+                random_boolmat(rng, k * n, n, rng.random() * 0.5, LEFT_LAYOUT[direction]),
+                random_boolmat(rng, n, n, rng.random() * 0.5),
             )
             for _ in range(count)
         ]
@@ -295,12 +293,12 @@ class TestGatherAndMask:
         pieces.append(BoolMat.empty(n, k * n))
         acc = Accumulator(n, k * n)
         for a, b in pairs:
-            spgemm(a, b, orientation, into=acc)
+            spgemm(a, b, into=acc)
         for u in units:
             acc.add(u)
         got = masked(acc, pieces)
         want = _union_minus(
-            [vertical_to_horizontal(spgemm(a, b, orientation), n, k) for a, b in pairs]
+            [vertical_to_horizontal(spgemm(a, b), n, k) for a, b in pairs]
             + units,
             lambda p: convert(p, ROW),
             pieces,
@@ -324,8 +322,8 @@ class TestGatherAndMask:
         b = BoolMat.from_entries(3, 3, [(1, 0), (1, 2)])
         acc = Accumulator(3, 3)
         c = OpCounter()
-        spgemm(a, b, ROW_BY_ROW, c, into=acc)
-        spgemm(a, b, ROW_BY_ROW, c, into=acc)  # the same entries again
+        spgemm(a, b, c, into=acc)
+        spgemm(a, b, c, into=acc)  # the same entries again
         assert (c.spgemm_calls, c.scalar_ops) == (2, 8)
         covers_row_0 = BoolMat.from_entries(3, 3, [(0, 0), (0, 2), (2, 2)])
         got = masked(acc, [covers_row_0, BoolMat.from_entries(3, 3, [(1, 2)])], c)
@@ -369,6 +367,26 @@ class TestMergeInto:
         for line in m.lines.values():
             line.append(cols + rows)
         assert d.lines == d_lines  # and shares no list with m
+
+    @pytest.mark.parametrize("d_bits", [False, True])
+    def test_stored_lines_have_no_spare_slot(self, d_bits):
+        """A line that merge_into puts into a list-form matrix, and every
+        line of a copy, is a list of exactly its length: a stored line
+        keeps any spare slot for the rest of the solve."""
+        empty, slot = sys.getsizeof([]), sys.getsizeof([None]) - sys.getsizeof([])
+
+        def exact(line):
+            return sys.getsizeof(line) == empty + slot * len(line)
+
+        # lines of 1, 3 and 5 positions, new to m or merged into its lines
+        d = BoolMat.from_entries(
+            8, 8, [(0, 1), (1, 2), (1, 5), (1, 7), (3, 4), *((2, j) for j in range(5))]
+        )
+        m = BoolMat(8, 8, ROW, {3: list([0, 6]), 4: list([1])})
+        assert not all(map(exact, m.lines.values()))
+        merge_into(d.in_form(d_bits), m)
+        assert m.nnz == 13 and all(exact(m.lines[key]) for key in d.lines)
+        assert all(map(exact, m.copy().lines.values()))
 
     def test_touches_only_the_delta_keys(self):
         class Unlistable(dict):
@@ -537,14 +555,13 @@ class TestUnorderedKeys:
         _assert_same(union(sa, sb), union(a, b))
         _assert_same(difference(sa, sb), difference(a, b))
         _assert_same(difference(sa, sbo), difference(a, bo))
-        for orientation in (ROW_BY_ROW, OUTER):
-            la, lb = OPERAND_LAYOUTS[orientation]
+        for la in (ROW, COL):
             x, sx = convert(a, la), convert(sa, la)
-            y, sy = convert(b, lb), convert(sb, lb)
-            _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
+            y, sy = convert(b, ROW), convert(sb, ROW)
+            _assert_same(spgemm(sx, sy), spgemm(x, y))
             x, sx = convert(b, la), convert(sb, la)
-            y, sy = convert(a, lb), convert(sa, lb)
-            _assert_same(spgemm(sx, sy, orientation), spgemm(x, y, orientation))
+            y, sy = convert(a, ROW), convert(sa, ROW)
+            _assert_same(spgemm(sx, sy), spgemm(x, y))
         got = []
         for x, y in ((sa, sb), (a, b)):
             x, y = convert(x, ROW), convert(y, ROW)
@@ -576,7 +593,7 @@ class TestUnorderedKeys:
         acc.add(a)
         results = [
             ((a, b), spgemm(a, b)),
-            ((ac, b), spgemm(ac, b, OUTER)),
+            ((ac, b), spgemm(ac, b)),
             ((a, e), spgemm(a, e)),
             ((acc, b), masked(acc, [b])),
             ((a, b), union(a, b)),
@@ -646,7 +663,7 @@ class TestBitForm:
         _assert_same(block_diagonalize(vb, n, k), block_diagonalize(v, n, k))
         _assert_same(vertical_to_horizontal(vb, n, k), vertical_to_horizontal(v, n, k))
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
+    @pytest.mark.parametrize("direction", LEFT_LAYOUT)
     @pytest.mark.parametrize("driver_bits", FORMS)
     @pytest.mark.parametrize("other_bits", FORMS)
     @given(
@@ -656,21 +673,20 @@ class TestBitForm:
         rng=st.randoms(use_true_random=False),
     )
     @settings(max_examples=25, deadline=None)
-    def test_products_and_masks(self, orientation, driver_bits, other_bits, n, count, masks, rng):
-        la, lb = OPERAND_LAYOUTS[orientation]
+    def test_products_and_masks(self, direction, driver_bits, other_bits, n, count, masks, rng):
         pairs = [
             (
-                random_boolmat(rng, n, n, rng.random() * 0.6, la),
-                random_boolmat(rng, n, n, rng.random() * 0.6, lb),
+                random_boolmat(rng, n, n, rng.random() * 0.6, LEFT_LAYOUT[direction]),
+                random_boolmat(rng, n, n, rng.random() * 0.6),
             )
             for _ in range(count)
         ]
         # the left operand drives row-by-row, the right one the outer product
-        forms = (driver_bits, other_bits) if orientation == ROW_BY_ROW else (other_bits, driver_bits)
+        forms = (driver_bits, other_bits) if direction == "row-by-row" else (other_bits, driver_bits)
         want_c = OpCounter()
-        want = [spgemm(a, b, orientation, want_c) for a, b in pairs]
+        want = [spgemm(a, b, want_c) for a, b in pairs]
         got_c = OpCounter()
-        got = [spgemm(*in_forms(p, forms), orientation, got_c) for p in pairs]
+        got = [spgemm(*in_forms(p, forms), got_c) for p in pairs]
         assert got_c == want_c
         for g, w in zip(got, want):
             _assert_same(g, w)
@@ -681,7 +697,7 @@ class TestBitForm:
             c = OpCounter()
             acc = Accumulator(n, n, bits=acc_bits)
             for p in pairs:
-                assert spgemm(*in_forms(p, forms), orientation, c, into=acc) is None
+                assert spgemm(*in_forms(p, forms), c, into=acc) is None
             for u in units:
                 acc.add(u.in_form(rng.random() < 0.5))
             piece_forms = [rng.random() < 0.5 for _ in pieces]
@@ -693,7 +709,7 @@ class TestBitForm:
         _assert_same(bit.in_form(False), ref)
         assert ref == _union_minus(want + units, lambda p: p, pieces, n, n, ROW)
 
-    @pytest.mark.parametrize("orientation", [ROW_BY_ROW, OUTER])
+    @pytest.mark.parametrize("direction", LEFT_LAYOUT)
     @given(
         n=st.integers(1, 6),
         k=st.integers(1, 3),
@@ -701,12 +717,11 @@ class TestBitForm:
         rng=st.randoms(use_true_random=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_vertical_products_into_a_bit_accumulator(self, orientation, n, k, masks, rng):
-        la, lb = OPERAND_LAYOUTS[orientation]
+    def test_vertical_products_into_a_bit_accumulator(self, direction, n, k, masks, rng):
         pairs = [
             (
-                random_boolmat(rng, k * n, n, rng.random() * 0.6, la),
-                random_boolmat(rng, n, n, rng.random() * 0.6, lb),
+                random_boolmat(rng, k * n, n, rng.random() * 0.6, LEFT_LAYOUT[direction]),
+                random_boolmat(rng, n, n, rng.random() * 0.6),
             )
             for _ in range(rng.randrange(1, 4))
         ]
@@ -718,7 +733,7 @@ class TestBitForm:
             acc = Accumulator(n, k * n, bits=acc_bits)
             for a, b in pairs:
                 forms = [acc_bits and rng.random() < 0.5 for _ in range(2)]
-                spgemm(*in_forms((a, b), forms), orientation, c, into=acc)
+                spgemm(*in_forms((a, b), forms), c, into=acc)
             for u in units:
                 acc.add(u.in_form(acc_bits))
             results.append((masked(acc, in_forms(pieces, [acc_bits] * masks), c), c))
@@ -748,20 +763,20 @@ class TestBitForm:
             for _ in range(rng.randrange(1, 4))
         ]
         operands = {
-            ROW_BY_ROW: [in_forms(p, (a_bits, b_bits)) for p in pairs],
-            OUTER: [in_forms((convert(a, COL), b), (a_bits, b_bits)) for a, b in pairs],
+            "row-by-row": [in_forms(p, (a_bits, b_bits)) for p in pairs],
+            "outer": [in_forms((convert(a, COL), b), (a_bits, b_bits)) for a, b in pairs],
         }
         shape = (n, k * n) if vertical else (n, n)
         pieces = [random_boolmat(rng, *shape, rng.random() * 0.6) for _ in range(2)]
         for acc_bits in FORMS:
             results = {}
-            for orientation, ops in operands.items():
+            for direction, ops in operands.items():
                 c = OpCounter()
-                got = [spgemm(a, b, orientation, c) for a, b in ops]
+                got = [spgemm(a, b, c) for a, b in ops]
                 acc = Accumulator(*shape, bits=acc_bits)
                 for a, b in ops:
-                    assert spgemm(a, b, orientation, c, into=acc) is None
-                results[orientation] = (got, masked(acc, pieces, c), c)
+                    assert spgemm(a, b, c, into=acc) is None
+                results[direction] = (got, masked(acc, pieces, c), c)
             (want, want_mask, want_c), (got, got_mask, got_c) = results.values()
             assert got_c == want_c
             for g, w in zip(got, want):
@@ -861,7 +876,7 @@ class TestBitForm:
         acc.add(a)
         results = [
             ((a, b), spgemm(a, b)),
-            ((ac, b), spgemm(ac, b, OUTER)),
+            ((ac, b), spgemm(ac, b)),
             ((acc, b), masked(acc, [b])),
             ((a, b), union(a, b)),
             ((a, b.in_form(False)), union(a, b.in_form(False))),
