@@ -235,9 +235,7 @@ def _cmd_solve(args, files: ExitStack) -> int:
     target = args.nonterminal or g.start.name()
     pairs = _pairs_for(result.matrices, target)
     if pairs is None:
-        known = sorted(
-            {s.name() for s, _, _ in result.triples()} | {g.start.name()}
-        )
+        known = sorted({s.name() for s, _, _ in result.triples()})
         raise CliInputError(
             f"unknown nonterminal {target!r}; nonterminals with results: "
             + (", ".join(known) if known else "(none)")

@@ -110,14 +110,11 @@ class WcnfGrammar(Cfg):
     ``terminal_rules`` maps each terminal (or the epsilon sentinel) to the
     nonterminals that directly produce it; ``binary_rules`` holds the
     (lhs, left, right) triples; ``unit_rules`` the (lhs, source) pairs.
-    ``indexed_families`` groups index-parameterized productions by the base
-    name of their indexed left-hand side.
     """
 
     terminal_rules: dict[Symbol, tuple[Symbol, ...]] = field(default_factory=dict)
     binary_rules: tuple[tuple[Symbol, Symbol, Symbol], ...] = ()
     unit_rules: tuple[tuple[Symbol, Symbol], ...] = ()
-    indexed_families: dict[str, tuple[Production, ...]] = field(default_factory=dict)
 
     @property
     def is_indexed(self) -> bool:
@@ -343,7 +340,6 @@ def validate_wcnf(g: Cfg) -> WcnfGrammar:
     terminal_rules: dict[Symbol, list[Symbol]] = {}
     binary_rules: list[tuple[Symbol, Symbol, Symbol]] = []
     unit_rules: list[tuple[Symbol, Symbol]] = []
-    families: dict[str, list[Production]] = {}
 
     for p in g.productions:
         if len(p.rhs) == 0:
@@ -356,8 +352,6 @@ def validate_wcnf(g: Cfg) -> WcnfGrammar:
                 unit_rules.append((p.lhs, s))
         else:
             binary_rules.append((p.lhs, p.rhs[0], p.rhs[1]))
-        if g.is_indexed_symbol(p.lhs):
-            families.setdefault(p.lhs.base, []).append(p)
 
     return WcnfGrammar(
         nonterminals=g.nonterminals,
@@ -368,7 +362,6 @@ def validate_wcnf(g: Cfg) -> WcnfGrammar:
         terminal_rules={k: tuple(dict.fromkeys(v)) for k, v in terminal_rules.items()},
         binary_rules=tuple(binary_rules),
         unit_rules=tuple(unit_rules),
-        indexed_families={k: tuple(v) for k, v in families.items()},
     )
 
 

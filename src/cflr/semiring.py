@@ -80,8 +80,15 @@ class UnitStep:
 
 @dataclass(frozen=True)
 class RulePlan:
+    """The steps, and the one table of the symbols that own a matrix:
+    ``stored`` maps every nonterminal (sorted), then every terminal a
+    binary rule reads, to its canonical representation, ``PLAIN`` or
+    ``HBLOCK`` for an indexed family under ``indexed_blocks``.  The seeds
+    and the solver's stores are keyed by this table."""
+
     bin_steps: tuple[BinStep, ...]
     unit_steps: tuple[UnitStep, ...]
+    stored: dict[Symbol, str]
 
 
 def build_rule_plan(g: WcnfGrammar, indexed_blocks: bool = False) -> RulePlan:
@@ -94,9 +101,16 @@ def build_rule_plan(g: WcnfGrammar, indexed_blocks: bool = False) -> RulePlan:
     def is_ix(s: Symbol) -> bool:
         return indexed_blocks and g.is_indexed_symbol(s)
 
+    stored = {
+        s: HBLOCK if is_ix(s) else PLAIN
+        for s in sorted(g.nonterminals, key=lambda s: (s.base, s.index or ""))
+    }
     bins: list[BinStep] = []
     for c, x, y in g.binary_rules:
         ic, il, ir = is_ix(c), is_ix(x), is_ix(y)
+        for s, ix in ((x, il), (y, ir)):
+            if s.kind == TERMINAL:
+                stored.setdefault(s, HBLOCK if ix else PLAIN)
         if not ic and not il and not ir:
             bins.append(BinStep((c, PLAIN), (x, PLAIN), (y, PLAIN)))
         elif not ic and il and ir:
@@ -128,20 +142,7 @@ def build_rule_plan(g: WcnfGrammar, indexed_blocks: bool = False) -> RulePlan:
         else:
             units.append(UnitStep((c, PLAIN), (s, PLAIN)))
 
-    return RulePlan(tuple(bins), tuple(units))
-
-
-def stored_symbols(g: WcnfGrammar) -> tuple[Symbol, ...]:
-    """Every symbol that owns a matrix: all nonterminals plus terminals
-    consumed as binary-rule operands (their matrices are constant)."""
-    out: dict[Symbol, None] = {}
-    for s in sorted(g.nonterminals, key=lambda s: (s.base, s.index or "")):
-        out[s] = None
-    for _, x, y in g.binary_rules:
-        for s in (x, y):
-            if s.kind == TERMINAL:
-                out.setdefault(s, None)
-    return tuple(out)
+    return RulePlan(tuple(bins), tuple(units), stored)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,8 @@ def initial_matrix(
     """Seed matrices from the graph: one entry per edge for every terminal
     rule (block slot entries for indexed terminals), full diagonals for
     epsilon rules, and the constant adjacency of every terminal consumed
-    by a binary rule.
+    by a binary rule.  Each matrix is keyed by its symbol's representation
+    in the rule plan's ``stored`` table.
 
     The seeds are built label by label from ``graph.label_index``: each
     label's targets (a matrix and a column offset each) are worked out
@@ -249,39 +251,30 @@ def initial_matrix(
     n = graph.vertex_count
     universe = graph.index_universe if indexed_blocks and g.is_indexed else ()
     k = len(universe)
-    operand_terms = {
-        s for _, x, y in g.binary_rules for s in (x, y) if s.kind == TERMINAL
-    }
+    stored = build_rule_plan(g, indexed_blocks).stored
     indexed_term_bases = g.indexed_terminal_bases() if indexed_blocks else frozenset()
 
     # the rows of every seed matrix, each a list of positions that may be
     # unsorted and repeated until the end
     rows: dict[MatKey, dict[int, list[int]]] = {}
 
-    def lines(sym: Symbol, repr_: str) -> dict[int, list[int]]:
-        return rows.setdefault((sym, repr_), {})
-
     for label, pairs in graph.label_index.items():
+        term, off = label, 0
         if label.index is not None and label.base in indexed_term_bases:
-            # a family member: its pairs land in its block slot, or in the
-            # plain matrix of a left-hand side outside the family
+            # a family member: its pairs land in its family's block slot
             term = Symbol(TERMINAL, label.base, g.index_variable)
             off = universe.index(label.index) * n
-            targets = [
-                (lines(lhs, HBLOCK), off) if g.is_indexed_symbol(lhs) else (lines(lhs, PLAIN), 0)
-                for lhs in g.terminal_rules.get(term, ())
-            ]
-            if term in operand_terms:
-                targets.append((lines(term, HBLOCK), off))
-        else:
-            targets = [(lines(lhs, PLAIN), 0) for lhs in g.terminal_rules.get(label, ())]
-            if label in operand_terms:
-                targets.append((lines(label, PLAIN), 0))
-        for out, off in targets:
+        targets = list(g.terminal_rules.get(term, ()))
+        if term in stored:
+            targets.append(term)
+        for sym in targets:
+            repr_ = stored[sym]
+            out = rows.setdefault((sym, repr_), {})
+            shift = off if repr_ == HBLOCK else 0
             get = out.get
             for u, v in pairs:
-                if off:  # slot 0 shares the graph's int objects
-                    v += off
+                if shift:  # slot 0 shares the graph's int objects
+                    v += shift
                 row = get(u)
                 if row is None:
                     out[u] = [v]
@@ -289,10 +282,10 @@ def initial_matrix(
                     row.append(v)
 
     for lhs in g.terminal_rules.get(EPSILON, ()):
-        blocked = indexed_blocks and g.is_indexed_symbol(lhs)
+        blocked = stored[lhs] == HBLOCK
         if blocked and not k:
             continue  # a family without index values has no block slot
-        out = lines(lhs, HBLOCK if blocked else PLAIN)
+        out = rows.setdefault((lhs, stored[lhs]), {})
         get = out.get
         for u in range(n):
             # the diagonal entry of slot 0, then those of the other slots

@@ -26,14 +26,12 @@ from .grammar import Symbol, WcnfGrammar, expand_indexed
 from .graph import LabeledGraph
 from .semiring import (
     HBLOCK,
-    PLAIN,
     VBLOCK,
     NontermMatrix,
     _apply_transform,
     build_rule_plan,
     initial_matrix,
     matrix_dims,
-    stored_symbols,
 )
 from .sparse import Accumulator, BoolMat, COL, OpCounter, ROW
 
@@ -360,14 +358,15 @@ def solve(
     universe = tuple(graph.index_universe) if use_blocks else ()
     k = len(universe)
     plan = build_rule_plan(g_run, use_blocks)
-    syms = stored_symbols(g_run)
 
     results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
-    # which (representation, layout) copies each symbol's store must keep;
-    # under dual_format M_old * delta reads M's column-major copy, which
-    # only a right operand that some step produces can make non-empty: any
-    # other has a delta only in the first iteration, when M_old is empty
-    needs: dict[Symbol, set[_StoreKey]] = {s: set() for s in syms}
+    # which (representation, layout) copies each symbol's store must keep.
+    # Every symbol keeps its row-major canonical copy: its seeds, deltas,
+    # accumulator and mask are in that key.  Under dual_format M_old *
+    # delta reads M's column-major copy, which only a right operand that
+    # some step produces can make non-empty: any other has a delta only in
+    # the first iteration, when M_old is empty
+    needs: dict[Symbol, set[_StoreKey]] = {s: {(r, ROW)} for s, r in plan.stored.items()}
     for st in plan.bin_steps:
         if not flags.dual_format:
             needs[st.left[0]].add((st.left[1], ROW))
@@ -377,23 +376,12 @@ def solve(
     for ust in plan.unit_steps:
         needs[ust.source[0]].add((ust.source[1], ROW))
 
-    # every symbol keeps its row-major canonical copy: its seeds, deltas,
-    # accumulator and mask are in that key
-    canonical: dict[Symbol, _StoreKey] = {}
-    for s in syms:
-        canonical[s] = (HBLOCK if use_blocks and g_run.is_indexed_symbol(s) else PLAIN, ROW)
-        needs[s].add(canonical[s])
-
     counter = OpCounter()
     stores = {
-        s: _Store(s, sorted(needs[s]), canonical[s], n, k, flags.lazy_union, flags.b)
-        for s in syms
+        s: _Store(s, sorted(needs[s]), (r, ROW), n, k, flags.lazy_union, flags.b)
+        for s, r in plan.stored.items()
     }
-
-    capacity = sum(r * c for r, c in (matrix_dims(canonical[s][0], n, k) for s in syms))
-    max_iterations = capacity + 2
-
-    result_syms = [s for s in syms if s in results]
+    max_iterations = sum(st.dims[0] * st.dims[1] for st in stores.values()) + 2
 
     monotonic = time.monotonic
 
@@ -408,7 +396,6 @@ def solve(
     deltas: dict[Symbol, _DeltaView] = {
         s: _DeltaView(m, stores[s])
         for (s, _), m in initial_matrix(graph, g_run, use_blocks).mats.items()
-        if s in stores and m.nnz
     }
     # one empty operand per key, for symbols without a delta and for left
     # copies that are not kept: only read
@@ -451,9 +438,9 @@ def solve(
         """Every symbol's matrix, row-major.  These may share lines with
         the stores, which change in place, so a ``snapshot`` copies them."""
         mats = {}
-        for s in syms:
-            m = stores[s].materialized()
-            mats[(s, canonical[s][0])] = m.copy() if snapshot else m
+        for s, store in stores.items():
+            m = store.materialized()
+            mats[(s, store.canonical[0])] = m.copy() if snapshot else m
         return NontermMatrix(n, universe, mats)
 
     # the delta variants multiply by the delta, the baseline by all of M
@@ -465,13 +452,13 @@ def solve(
         if iterations > max_iterations:
             raise RuntimeError("fixpoint failed to converge (bug)")
         if iteration_hook is not None:
-            delta_nm = NontermMatrix(
-                n, universe, {(s, canonical[s][0]): dv.copy(*canonical[s]) for s, dv in deltas.items()}
-            )
+            delta_nm = NontermMatrix(n, universe, {
+                (s, dv.store.canonical[0]): dv.copy(*dv.store.canonical) for s, dv in deltas.items()
+            })
             m_old_nm = materialized_view(snapshot=True)
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
-        accs = {s: stores[s].accumulator() for s in result_syms}
+        accs = {s: st.accumulator() for s, st in stores.items() if s in results}
         if flags.delta:
             # M_old * delta, against the stores before the insert; under
             # dual_format the delta's rows drive it through M's columns

@@ -155,6 +155,15 @@ class TestSolveCommand:
         )
         assert rc == EXIT_INPUT
 
+    def test_unknown_nonterminal_lists_only_nonterminals_with_pairs(self, capsys):
+        """The start symbol ``M`` has no pair on a chain of ``a`` edges, so
+        it is not listed as having results."""
+        argv = ["solve", "--graph", "chain(4)", "--preset", "fsca-wcnf", "--nonterminal", "d"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "cflr: unknown nonterminal 'd'; nonterminals with results: A, A_bar, V\n"
+        )
+
     @pytest.mark.parametrize("variant", ["ma1", "ma14"])
     @pytest.mark.parametrize("terminal", ["d", "f_f0"])
     def test_terminal_is_not_a_nonterminal(self, tmp_path, capsys, variant, terminal):

@@ -16,8 +16,13 @@ counters unchanged.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +31,7 @@ from cflr.grammar import parse_grammar
 from cflr.graph import chain_graph
 from cflr.oracle import oracle_solve
 from cflr import sparse
-from cflr.semiring import HBLOCK, PLAIN, build_rule_plan
+from cflr.semiring import HBLOCK, PLAIN, build_rule_plan, initial_matrix
 from cflr.sparse import COL, ROW
 
 from _support import sized_graph_text
@@ -198,6 +203,26 @@ def test_counters_and_triples_are_pinned(name):
             assert r.matrices.mats[r.grammar.start, PLAIN].bits is FINAL_BITS[name], variant
 
 
+def test_pinned_values_do_not_depend_on_the_hash_seed():
+    """Symbols hash their strings, so a dict or set built in set order
+    would change with ``PYTHONHASHSEED``: the whole table is measured in
+    two interpreters with different fixed seeds, and both must give the
+    pinned values."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    tables = []
+    for seed in ("0", "777"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        tables.append(ast.literal_eval(run.stdout))
+    assert tables[0].keys() == tables[1].keys() == PINNED.keys()
+    for key, want in PINNED.items():
+        assert tables[0][key] == tables[1][key] == want, key
+
+
 @pytest.mark.parametrize("name", ["right-collapse", "unit-collapse"])
 def test_collapse_cases_collapse_entries(monkeypatch, name):
     """The two collapse cases agree with the oracle, and under block
@@ -270,7 +295,10 @@ def test_every_symbol_keeps_a_row_major_canonical_copy(monkeypatch, name):
     """Every store keeps its canonical key, row-major, and every
     accumulator is masked by row-major pieces into a row-major delta: no
     product row, mask or delta crosses layouts.  A symbol stored for the
-    outer product keeps its column copy beside it."""
+    outer product keeps its column copy beside it.  The stores and the
+    seeds follow the rule plan's ``stored`` table: one store per entry, in
+    its order, each seed in its symbol's representation."""
+    _, graph = case(name)
     stores = []
     init = solver._Store.__init__
     masked = sparse.masked
@@ -291,11 +319,17 @@ def test_every_symbol_keeps_a_row_major_canonical_copy(monkeypatch, name):
     monkeypatch.setattr(sparse, "masked", recording_masked)
     for variant in VARIANTS:
         stores.clear()
-        assert measure(name, variant)[1] == PINNED[name, variant], variant
-        assert stores
+        r, got = measure(name, variant)
+        assert got == PINNED[name, variant], variant
+        blocks = r.flags.indexed_blocks and r.grammar.is_indexed
+        stored = build_rule_plan(r.grammar, blocks).stored
+        assert [store.sym for store in stores] == list(stored), variant
         for store in stores:
+            assert store.canonical == (stored[store.sym], ROW), (variant, store.sym)
             assert store.canonical in {(PLAIN, ROW), (HBLOCK, ROW)}, (variant, store.sym)
             assert store.canonical in store.keys, (variant, store.sym)
+        seeds = initial_matrix(graph, r.grammar, blocks).mats
+        assert seeds and all(repr_ == stored[sym] for sym, repr_ in seeds), variant
         if variant == "ma1234" and name == "fsca-wcnf:1":
             (a_bar,) = [st for st in stores if st.sym.name() == "A_bar"]
             assert set(a_bar.keys) == {(PLAIN, ROW), (PLAIN, COL)}
@@ -334,3 +368,8 @@ def test_products_against_dropped_column_copies_are_empty(monkeypatch, name):
     read = {st.left for st in plan.bin_steps if st.right[0] in results}
     if r.iterations > 1 and any(st.left not in read for st in plan.bin_steps):
         assert stand_in_rights
+
+
+if __name__ == "__main__":
+    # the measured table, for the hash-seed test above
+    print(repr({(name, v): measure(name, v)[1] for name in CASE_NAMES for v in VARIANTS}))

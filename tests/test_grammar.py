@@ -140,8 +140,8 @@ class TestValidate:
         g = validate_wcnf(preset("fsjpt-opt"))
         fams = {
             (p.lhs.name(), tuple(s.name() for s in p.rhs))
-            for prods in g.indexed_families.values()
-            for p in prods
+            for p in g.productions
+            if g.is_indexed_symbol(p.lhs)
         }
         assert fams == {
             ("LPFS_i", ("LP_i", "FS_i")),
