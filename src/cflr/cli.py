@@ -222,6 +222,15 @@ def _write(stream, text: str) -> None:
 def _cmd_solve(args, files: ExitStack) -> int:
     g, grammar_id = _load_grammar(args)
     graph, graph_id = _load_graph(args, g)
+    if not args.nonterminal and g.is_indexed_symbol(g.start):
+        # the family's name, such as A_i, is also the name of its member
+        # whose tag is i, so it cannot stand for the whole family
+        members = ", ".join(f"{g.start.base}_{tag}" for tag in graph.index_universe)
+        raise CliInputError(
+            f"start symbol {g.start.base}_[{g.start.index}] is an indexed family; "
+            f"pass --nonterminal with one of its members: {members or '(none)'}"
+        )
+    target = args.nonterminal or g.start.name()
     out = _open(args.output, sys.stdout, files)
     rep = _open(args.report, sys.stderr, files)
     flags = VariantFlags.named(args.variant, b=args.b)
@@ -232,7 +241,6 @@ def _cmd_solve(args, files: ExitStack) -> int:
     result = solve(graph, g, flags, deadline=deadline)
     wall = time.perf_counter() - t0
 
-    target = args.nonterminal or g.start.name()
     pairs = _pairs_for(result.matrices, target)
     if pairs is None:
         known = sorted({s.name() for s, _, _ in result.triples()})

@@ -102,6 +102,9 @@ class Cfg:
     def is_indexed_symbol(self, sym: Symbol) -> bool:
         return self.index_variable is not None and sym.index == self.index_variable
 
+    def indexed_terminal_bases(self) -> frozenset[str]:
+        return frozenset(s.base for s in self.terminals if self.is_indexed_symbol(s))
+
 
 @dataclass(frozen=True)
 class WcnfGrammar(Cfg):
@@ -125,9 +128,6 @@ class WcnfGrammar(Cfg):
             for p in self.productions
             for s in (p.lhs, *p.rhs)
         )
-
-    def indexed_terminal_bases(self) -> frozenset[str]:
-        return frozenset(s.base for s in self.terminals if self.is_indexed_symbol(s))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,11 @@ def parse_grammar(text: str) -> Cfg:
 
     for lineno, line in _split_rule_lines(text):
         if line.startswith("start:"):
+            if start_name is not None:
+                raise GrammarError(
+                    f"second start directive; line {start_line} already names {start_name!r}",
+                    lineno,
+                )
             start_name = line[len("start:") :].strip()
             start_line = lineno
             if not start_name or len(start_name.split()) != 1:
@@ -191,23 +196,17 @@ def parse_grammar(text: str) -> Cfg:
             raise GrammarError(f"malformed symbol token {tok!r}", lineno)
         return tok, None, optional
 
-    # first pass: which bases are nonterminals, and index usage per base
+    # first pass: which bases are nonterminals, and index usage per base,
+    # in rule order
     lhs_info: dict[str, str | None] = {}
-    lhs_order: list[str] = []
     for lineno, lhs_tok, _ in raw_rules:
         base, var, optional = classify_token(lhs_tok, lineno)
         if optional:
             raise GrammarError("left-hand side cannot be optional", lineno)
         if base == "eps":
             raise GrammarError("'eps' cannot be a left-hand side", lineno)
-        if base in lhs_info:
-            if lhs_info[base] != var:
-                raise GrammarError(
-                    f"symbol {base!r} used both indexed and unindexed", lineno
-                )
-        else:
-            lhs_info[base] = var
-            lhs_order.append(base)
+        if lhs_info.setdefault(base, var) != var:
+            raise GrammarError(f"symbol {base!r} used both indexed and unindexed", lineno)
 
     base_index: dict[str, str | None] = dict(lhs_info)
 
@@ -223,13 +222,10 @@ def parse_grammar(text: str) -> Cfg:
         return Symbol(kind, base, var)
 
     productions: list[Production] = []
-    nonterminals: set[Symbol] = set()
-    terminals: set[Symbol] = set()
 
     for lineno, lhs_tok, alternatives in raw_rules:
         lhs_base, lhs_var, _ = classify_token(lhs_tok, lineno)
         lhs_sym = make_symbol(lhs_base, lhs_var, lineno)
-        nonterminals.add(lhs_sym)
         for alt in alternatives:
             if alt == ["eps"]:
                 productions.append(Production(lhs_sym, ()))
@@ -258,25 +254,22 @@ def parse_grammar(text: str) -> Cfg:
             max(index_vars.values()),
         )
 
-    for sym_base, var in base_index.items():
-        if sym_base not in lhs_info:
-            terminals.add(Symbol(TERMINAL, sym_base, var))
-
     index_variable = next(iter(index_vars), None)
 
     if start_name is not None:
         sbase, svar, _ = classify_token(start_name, start_line or 0)
         if sbase not in lhs_info:
             raise GrammarError(f"undeclared start symbol {start_name!r}", start_line)
-        start = Symbol(NONTERMINAL, sbase, lhs_info[sbase])
     else:
-        start = Symbol(NONTERMINAL, lhs_order[0], lhs_info[lhs_order[0]])
+        sbase = next(iter(lhs_info))
 
     return Cfg(
-        nonterminals=frozenset(nonterminals),
-        terminals=frozenset(terminals),
+        nonterminals=frozenset(Symbol(NONTERMINAL, b, v) for b, v in lhs_info.items()),
+        terminals=frozenset(
+            Symbol(TERMINAL, b, v) for b, v in base_index.items() if b not in lhs_info
+        ),
         productions=tuple(productions),
-        start=start,
+        start=Symbol(NONTERMINAL, sbase, lhs_info[sbase]),
         index_variable=index_variable,
     )
 

@@ -6,7 +6,7 @@ index ``f12``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .grammar import Cfg, Symbol, TERMINAL
 
@@ -38,7 +38,7 @@ class LabeledGraph:
 
 
 def _assemble(
-    names: list[str], edges: list[tuple[int, Symbol, int]], universe: list[str]
+    names: Collection[str], edges: Iterable[tuple[int, Symbol, int]], universe: Iterable[str]
 ) -> LabeledGraph:
     return LabeledGraph(len(names), tuple(names), tuple(edges), tuple(universe))
 
@@ -53,28 +53,8 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
     Exact duplicate triples are dropped.  ``#`` starts a comment line.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = list(source)
-
-    indexed_bases: list[str] = []
-    if g.index_variable is not None:
-        indexed_bases = sorted(
-            {s.base for s in g.terminals if s.kind == TERMINAL and s.index == g.index_variable},
-            key=len,
-            reverse=True,
-        )
-
-    ids: dict[str, int] = {}
-    names: list[str] = []
-
-    def intern(tok: str) -> int:
-        vid = ids.get(tok)
-        if vid is None:
-            vid = len(names)
-            ids[tok] = vid
-            names.append(tok)
-        return vid
+        source = source.splitlines()
+    indexed_bases = sorted(g.indexed_terminal_bases(), key=len, reverse=True)
 
     def resolve_label(label: str, lineno: int) -> Symbol:
         for base in indexed_bases:
@@ -93,34 +73,26 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
                 return Symbol(TERMINAL, base, tag)
         return Symbol(TERMINAL, label, None)
 
+    # insertion-ordered dicts: vertex ids, and the edges as keys, both in
+    # order of first appearance
+    ids: dict[str, int] = {}
     labels: dict[str, Symbol] = {}  # one symbol per distinct label
-    edges: list[tuple[int, Symbol, int]] = []
-    seen: set[tuple[int, Symbol, int]] = set()
-    universe: list[str] = []
-    known_tags: set[str] = set()
+    edges: dict[tuple[int, Symbol, int], None] = {}
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(source, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise GraphFormatError(
                 f"expected 'source label target', got {len(parts)} tokens", lineno
             )
         u_tok, label, v_tok = parts
         sym = labels.get(label) or labels.setdefault(label, resolve_label(label, lineno))
-        u, v = intern(u_tok), intern(v_tok)
-        triple = (u, sym, v)
-        if triple in seen:
-            continue
-        seen.add(triple)
-        edges.append(triple)
-        if sym.index is not None and sym.index not in known_tags:
-            known_tags.add(sym.index)
-            universe.append(sym.index)
+        edges[ids.setdefault(u_tok, len(ids)), sym, ids.setdefault(v_tok, len(ids))] = None
 
-    return _assemble(names, edges, universe)
+    universe = dict.fromkeys(sym.index for _, sym, _ in edges if sym.index is not None)
+    return _assemble(ids, edges, universe)
 
 
 def serialize_graph(graph: LabeledGraph, index_separator: str = "_") -> str:

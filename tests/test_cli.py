@@ -289,6 +289,41 @@ def test_bad_variant_list_is_one_line_usage_error(argv, capsys, monkeypatch):
     assert captured.err.startswith("cflr: --variants ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "grammar, graph, err",
+    [
+        # the family's name A_i is also the name of the member tagged i
+        (
+            "start: A_[i]\nA_[i] -> x_[i]\n",
+            "0 x_f1 1\n5 x_i 6\n",
+            "start symbol A_[i] is an indexed family; "
+            "pass --nonterminal with one of its members: A_f1, A_i",
+        ),
+        (
+            "start: A_[i]\nA_[i] -> x_[i]\n",
+            "0 x_f1 1\n",
+            "start symbol A_[i] is an indexed family; "
+            "pass --nonterminal with one of its members: A_f1",
+        ),
+        (
+            "start: S\nstart: T\nS -> a\nT -> b\n",
+            "0 a 1\n",
+            "line 2: second start directive; line 1 already names 'S'",
+        ),
+    ],
+    ids=["indexed-start-member-named-like-family", "indexed-start", "second-start"],
+)
+@pytest.mark.parametrize("variant", ["ma", "ma1", "ma14"])
+def test_refused_start_symbol_is_one_line_input_error(grammar, graph, err, variant, tmp_path, capsys):
+    (tmp_path / "a.cfg").write_text(grammar)
+    (tmp_path / "g.txt").write_text(graph)
+    argv = ["solve", "--graph", str(tmp_path / "g.txt"), "--grammar", str(tmp_path / "a.cfg")]
+    assert main(argv + ["--variant", variant]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cflr: {err}\n"
+
+
 class TestCheckCommand:
     def test_all_variants_agree(self, dyck_path_graph, dyck_grammar_file):
         rc = main(

@@ -100,6 +100,12 @@ class TestParse:
         g = parse_grammar("start: T\nS -> a\nT -> b\n")
         assert g.start.name() == "T"
 
+    def test_second_start_directive_rejected(self):
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar("start: S\nstart: T\nS -> a\nT -> b\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: second start directive; line 1 already names 'S'"
+
     def test_undeclared_start_errors(self):
         with pytest.raises(GrammarError):
             parse_grammar("start: X\nS -> a\n")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflr.grammar import Symbol, ensure_wcnf, preset
 from cflr.graph import (
@@ -92,6 +93,53 @@ class TestLoad:
     def test_custom_index_separator(self):
         g = load_graph("0 call.f1 1\n", CSCVF, index_separator=".")
         assert g.index_universe == ("f1",)
+
+
+def reference_load(lines):
+    """The loading rules written out naively for the CSCVF grammar, whose
+    indexed bases are ``call`` and ``ret``; every other label is plain."""
+    names, edges, tags = [], [], []
+    for parts in (line.split() for line in lines):
+        if not parts or parts[0].startswith("#"):
+            continue
+        u, label, v = parts
+        base, _, tag = label.partition("_")
+        sym = Symbol("terminal", base, tag) if base in ("call", "ret") else Symbol("terminal", label)
+        for tok in (u, v):
+            if tok not in names:
+                names.append(tok)
+        edge = (names.index(u), sym, names.index(v))
+        if edge not in edges:
+            edges.append(edge)
+            if sym.index is not None and sym.index not in tags:
+                tags.append(sym.index)
+    return tuple(names), tuple(edges), tuple(tags)
+
+
+_vertex = st.sampled_from(["0", "1", "2", "x", "yy"])
+_label = st.sampled_from(["a", "b", "calls", "call_f1", "call_f2", "ret_f1", "ret_f2", "ret_i"])
+_edge_line = st.builds(
+    lambda u, label, v, sep: sep.join((u, label, v)), _vertex, _label, _vertex,
+    st.sampled_from([" ", "\t", "  "]),
+)
+_lines = st.lists(
+    st.one_of(_edge_line, st.sampled_from(["", "   ", "# note", "  # indented note"])),
+    max_size=30,
+)
+
+
+class TestLoadOrder:
+    @given(_lines)
+    @settings(max_examples=150, deadline=None)
+    def test_load_graph_matches_reference_loader(self, lines):
+        """Ids by first appearance (u before v), the first occurrence of
+        each triple in order, and tags in the order of the first kept edge
+        that carries them; the same from a string and from a generator."""
+        want = reference_load(lines)
+        for source in ("\n".join(lines), (line + "\n" for line in lines)):
+            g = load_graph(source, CSCVF)
+            assert (g.vertex_names, g.edges, g.index_universe) == want
+            assert g.vertex_count == len(want[0])
 
 
 class TestSerialize:
