@@ -12,6 +12,7 @@ import statistics
 import sys
 import time
 from contextlib import ExitStack
+from itertools import chain
 
 try:
     import resource
@@ -20,7 +21,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from .grammar import (
     GrammarError,
-    NONTERMINAL,
     OPT_GRAMMAR_FOR,
     Symbol,
     WcnfGrammar,
@@ -30,7 +30,6 @@ from .grammar import (
 )
 from .graph import GraphFormatError, LabeledGraph, chain_graph, grid_graph, load_graph
 from .oracle import oracle_solve
-from .semiring import HBLOCK, PLAIN, NontermMatrix
 from .solver import VARIANT_NAMES, SolveTimeout, VariantFlags, solve
 
 EXIT_OK = 0
@@ -135,17 +134,19 @@ def _load_graph(args, g: WcnfGrammar) -> tuple[LabeledGraph, str]:
     return load_graph(text, g, index_separator=args.index_separator), spec
 
 
-def _pairs_for(matrices: NontermMatrix, name: str) -> list[tuple[int, int]] | None:
-    # terminals are stored too, as rule operands, but are not answers
-    for sym, repr_ in matrices.mats:
-        if repr_ == PLAIN and sym.kind == NONTERMINAL and sym.name() == name:
-            return matrices.pairs(sym)
-    for sym, repr_ in matrices.mats:
-        if repr_ == HBLOCK and sym.kind == NONTERMINAL:
-            for tag in matrices.universe:
-                if f"{sym.base}_{tag}" == name:
-                    return matrices.pairs(Symbol(sym.kind, sym.base, tag))
-    return None
+def _nonterminal_named(g: WcnfGrammar, graph: LabeledGraph, name: str) -> Symbol | None:
+    """The nonterminal of the loaded grammar that ``name`` names: a plain
+    one first, then a family member for one of the graph's tags.  Which
+    stores a variant makes does not matter."""
+    ordered = sorted(g.nonterminals, key=lambda s: (s.base, s.index or ""))
+    plain = (s for s in ordered if not g.is_indexed_symbol(s))
+    members = (
+        Symbol(s.kind, s.base, tag)
+        for s in ordered
+        if g.is_indexed_symbol(s)
+        for tag in graph.index_universe
+    )
+    return next((s for s in chain(plain, members) if s.name() == name), None)
 
 
 def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
@@ -241,14 +242,14 @@ def _cmd_solve(args, files: ExitStack) -> int:
     result = solve(graph, g, flags, deadline=deadline)
     wall = time.perf_counter() - t0
 
-    pairs = _pairs_for(result.matrices, target)
-    if pairs is None:
+    sym = _nonterminal_named(g, graph, target)
+    if sym is None:
         known = sorted({s.name() for s, _, _ in result.triples()})
         raise CliInputError(
             f"unknown nonterminal {target!r}; nonterminals with results: "
             + (", ".join(known) if known else "(none)")
         )
-    _write(out, _format_pairs(graph, pairs))
+    _write(out, _format_pairs(graph, result.matrices.pairs(sym)))
     _write(rep, _report_record(args.variant, grammar_id, graph_id, flags, result, wall))
     return EXIT_OK
 

@@ -27,14 +27,15 @@ _INDEXED_TOKEN = re.compile(r"^(?P<base>[^\[\]]+)_\[(?P<var>[A-Za-z][A-Za-z0-9]*
 
 
 class GrammarError(ValueError):
-    """Raised for malformed grammar text; carries the 1-based line number."""
+    """Raised for a malformed grammar; carries the 1-based line number of
+    grammar text, or ``None``."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class WcnfViolationError(ValueError):
+class WcnfViolationError(GrammarError):
     """Raised when a grammar is not in the accepted weak normal form."""
 
     def __init__(self, violations: list[str]):
@@ -93,11 +94,20 @@ class Production:
 
 @dataclass(frozen=True)
 class Cfg:
-    nonterminals: frozenset[Symbol]
-    terminals: frozenset[Symbol]
+    """A grammar is its productions; ``nonterminals`` and ``terminals`` are
+    the symbols of each kind that they name."""
+
     productions: tuple[Production, ...]
     start: Symbol
     index_variable: str | None = None
+    nonterminals: frozenset[Symbol] = field(init=False)
+    terminals: frozenset[Symbol] = field(init=False)
+
+    def __post_init__(self):
+        named = {p.lhs for p in self.productions}
+        named.update(s for p in self.productions for s in p.rhs)
+        for attr, kind in (("nonterminals", NONTERMINAL), ("terminals", TERMINAL)):
+            object.__setattr__(self, attr, frozenset(s for s in named if s.kind == kind))
 
     def is_indexed_symbol(self, sym: Symbol) -> bool:
         return self.index_variable is not None and sym.index == self.index_variable
@@ -108,35 +118,64 @@ class Cfg:
 
 @dataclass(frozen=True)
 class WcnfGrammar(Cfg):
-    """A validated grammar with productions pre-sorted by shape.
+    """A grammar in the accepted weak normal form, checked when it is made
+    (raising :class:`WcnfViolationError`), with its productions sorted by
+    shape in production order.
 
     ``terminal_rules`` maps each terminal (or the epsilon sentinel) to the
     nonterminals that directly produce it; ``binary_rules`` holds the
     (lhs, left, right) triples; ``unit_rules`` the (lhs, source) pairs.
     """
 
-    terminal_rules: dict[Symbol, tuple[Symbol, ...]] = field(default_factory=dict)
-    binary_rules: tuple[tuple[Symbol, Symbol, Symbol], ...] = ()
-    unit_rules: tuple[tuple[Symbol, Symbol], ...] = ()
+    terminal_rules: dict[Symbol, tuple[Symbol, ...]] = field(init=False)
+    binary_rules: tuple[tuple[Symbol, Symbol, Symbol], ...] = field(init=False)
+    unit_rules: tuple[tuple[Symbol, Symbol], ...] = field(init=False)
+    is_indexed: bool = field(init=False)
 
-    @property
-    def is_indexed(self) -> bool:
-        if self.index_variable is None:
-            return False
-        return any(
-            self.is_indexed_symbol(s)
-            for p in self.productions
-            for s in (p.lhs, *p.rhs)
-        )
+    def __post_init__(self):
+        super().__post_init__()
+        violations = [v for p in self.productions if (v := _production_violation(p, self))]
+        if violations:
+            raise WcnfViolationError(violations)
+
+        terminal_rules: dict[Symbol, list[Symbol]] = {}
+        binary_rules, unit_rules = [], []
+        for p in self.productions:
+            if len(p.rhs) == 2:
+                binary_rules.append((p.lhs, *p.rhs))
+            elif p.rhs and p.rhs[0].kind != TERMINAL:
+                unit_rules.append((p.lhs, p.rhs[0]))
+            else:
+                terminal_rules.setdefault(p.rhs[0] if p.rhs else EPSILON, []).append(p.lhs)
+
+        derived = {
+            "terminal_rules": {k: tuple(dict.fromkeys(v)) for k, v in terminal_rules.items()},
+            "binary_rules": tuple(binary_rules),
+            "unit_rules": tuple(unit_rules),
+            "is_indexed": any(map(self.is_indexed_symbol, self.nonterminals | self.terminals)),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
+def line_tokens(raw: str) -> list[str]:
+    """The whitespace-separated tokens of one line of grammar or graph text.
+    A token that starts with ``#`` starts a comment, which runs to the end
+    of the line."""
+    tokens = raw.split()
+    for at, tok in enumerate(tokens):
+        if tok.startswith("#"):
+            return tokens[:at]
+    return tokens
+
+
 def _split_rule_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = " ".join(line_tokens(raw))
         if line:
             yield lineno, line
 
@@ -211,15 +250,9 @@ def parse_grammar(text: str) -> Cfg:
     base_index: dict[str, str | None] = dict(lhs_info)
 
     def make_symbol(base: str, var: str | None, lineno: int) -> Symbol:
-        kind = NONTERMINAL if base in lhs_info else TERMINAL
-        if base in base_index:
-            if base_index[base] != var:
-                raise GrammarError(
-                    f"symbol {base!r} used both indexed and unindexed", lineno
-                )
-        else:
-            base_index[base] = var
-        return Symbol(kind, base, var)
+        if base_index.setdefault(base, var) != var:
+            raise GrammarError(f"symbol {base!r} used both indexed and unindexed", lineno)
+        return Symbol(NONTERMINAL if base in lhs_info else TERMINAL, base, var)
 
     productions: list[Production] = []
 
@@ -232,20 +265,14 @@ def parse_grammar(text: str) -> Cfg:
                 continue
             if "eps" in alt:
                 raise GrammarError("'eps' must stand alone in an alternative", lineno)
-            body: list[tuple[Symbol, bool]] = []
+            # expand optional symbols: include-first, then without
+            expansions: list[list[Symbol]] = [[]]
             for tok in alt:
                 base, var, optional = classify_token(tok, lineno)
                 sym = make_symbol(base, var, lineno)
-                body.append((sym, optional))
-            # expand optional symbols: include-first, then without
-            expansions: list[list[Symbol]] = [[]]
-            for sym, optional in body:
-                if optional:
-                    expansions = [e + [sym] for e in expansions] + [list(e) for e in expansions]
-                else:
-                    expansions = [e + [sym] for e in expansions]
-            for exp in expansions:
-                productions.append(Production(lhs_sym, tuple(exp)))
+                with_sym = [e + [sym] for e in expansions]
+                expansions = with_sym + expansions if optional else with_sym
+            productions.extend(Production(lhs_sym, tuple(e)) for e in expansions)
 
     if len(index_vars) > 1:
         names = ", ".join(sorted(index_vars))
@@ -263,15 +290,7 @@ def parse_grammar(text: str) -> Cfg:
     else:
         sbase = next(iter(lhs_info))
 
-    return Cfg(
-        nonterminals=frozenset(Symbol(NONTERMINAL, b, v) for b, v in lhs_info.items()),
-        terminals=frozenset(
-            Symbol(TERMINAL, b, v) for b, v in base_index.items() if b not in lhs_info
-        ),
-        productions=tuple(productions),
-        start=Symbol(NONTERMINAL, sbase, lhs_info[sbase]),
-        index_variable=index_variable,
-    )
+    return Cfg(tuple(productions), Symbol(NONTERMINAL, sbase, lhs_info[sbase]), index_variable)
 
 
 def serialize_grammar(g: Cfg) -> str:
@@ -293,31 +312,26 @@ def serialize_grammar(g: Cfg) -> str:
 # WCNF validation and normalization
 
 
+def _repairable(p: Production) -> bool:
+    """Whether ``to_wcnf`` rewrites ``p``: a body longer than two symbols, or
+    a body of two terminals."""
+    return len(p.rhs) > 2 or len(p.rhs) == 2 and p.rhs[0].kind == p.rhs[1].kind == TERMINAL
+
+
+def _breaks_index_rule(p: Production, g: Cfg) -> bool:
+    """Whether ``p`` has an indexed left-hand side but no indexed symbol in
+    its nonempty body, which no rewrite can mend."""
+    return bool(p.rhs) and g.is_indexed_symbol(p.lhs) and not any(map(g.is_indexed_symbol, p.rhs))
+
+
 def _production_violation(p: Production, g: Cfg) -> str | None:
+    if _breaks_index_rule(p, g):
+        return f"{p!r}: indexed result requires an indexed operand"
     if len(p.rhs) > 2:
         return f"{p!r}: right-hand side longer than two symbols"
-    if len(p.rhs) == 2:
-        x, y = p.rhs
-        if x.kind == TERMINAL and y.kind == TERMINAL:
-            return f"{p!r}: binary rule without a nonterminal operand"
-        if g.is_indexed_symbol(p.lhs) and not (
-            g.is_indexed_symbol(x) or g.is_indexed_symbol(y)
-        ):
-            return f"{p!r}: indexed result requires an indexed operand"
-    elif len(p.rhs) == 1:
-        if g.is_indexed_symbol(p.lhs) and not g.is_indexed_symbol(p.rhs[0]):
-            return f"{p!r}: indexed result requires an indexed operand"
+    if _repairable(p):
+        return f"{p!r}: binary rule without a nonterminal operand"
     return None
-
-
-def wcnf_violations(g: Cfg) -> list[str]:
-    """Shape problems preventing ``g`` from being used by the engine."""
-    out = []
-    for p in g.productions:
-        v = _production_violation(p, g)
-        if v:
-            out.append(v)
-    return out
 
 
 def validate_wcnf(g: Cfg) -> WcnfGrammar:
@@ -326,118 +340,69 @@ def validate_wcnf(g: Cfg) -> WcnfGrammar:
     Raises :class:`WcnfViolationError` with one entry per offending
     production if the grammar is not in the accepted normal form.
     """
-    violations = wcnf_violations(g)
-    if violations:
-        raise WcnfViolationError(violations)
-
-    terminal_rules: dict[Symbol, list[Symbol]] = {}
-    binary_rules: list[tuple[Symbol, Symbol, Symbol]] = []
-    unit_rules: list[tuple[Symbol, Symbol]] = []
-
-    for p in g.productions:
-        if len(p.rhs) == 0:
-            terminal_rules.setdefault(EPSILON, []).append(p.lhs)
-        elif len(p.rhs) == 1:
-            s = p.rhs[0]
-            if s.kind == TERMINAL:
-                terminal_rules.setdefault(s, []).append(p.lhs)
-            else:
-                unit_rules.append((p.lhs, s))
-        else:
-            binary_rules.append((p.lhs, p.rhs[0], p.rhs[1]))
-
-    return WcnfGrammar(
-        nonterminals=g.nonterminals,
-        terminals=g.terminals,
-        productions=g.productions,
-        start=g.start,
-        index_variable=g.index_variable,
-        terminal_rules={k: tuple(dict.fromkeys(v)) for k, v in terminal_rules.items()},
-        binary_rules=tuple(binary_rules),
-        unit_rules=tuple(unit_rules),
-    )
+    return WcnfGrammar(g.productions, g.start, g.index_variable)
 
 
 def to_wcnf(g: Cfg) -> WcnfGrammar:
     """Rewrite ``g`` into the accepted weak normal form.
 
-    Productions already in an accepted shape pass through unchanged.  An
-    offending production first has its terminals lifted into fresh unit
-    nonterminals (``<base>#t``), then its body is binarized left to right
-    with fresh helpers named ``<lhs>#k``.  A helper spanning a split is
+    Only a body longer than two symbols or a body of two terminals is
+    rewritten, and only when the production keeps the index rule; every
+    other production passes through unchanged, so one that breaks the
+    index rule is reported as written.  A rewritten
+    production first has its terminals lifted into fresh unit nonterminals
+    (``<base>#t``), then its body is binarized left to right with fresh
+    helpers named ``<lhs>#k``.  A helper spanning a split is
     index-parameterized exactly when the index variable occurs on both
     sides of the split (or on the left-hand side), so index ties such as
     matched per-field brackets survive binarization.
     """
-    var = g.index_variable
-
-    def indexed(s: Symbol) -> bool:
-        return g.is_indexed_symbol(s)
-
     new_prods: list[Production] = []
-    new_nonterminals = set(g.nonterminals)
     lifted: dict[Symbol, Symbol] = {}
     helper_counts: dict[str, int] = {}
 
     def lift(t: Symbol) -> Symbol:
         nt = lifted.get(t)
         if nt is None:
-            nt = Symbol(NONTERMINAL, f"{t.base}#t", t.index)
-            lifted[t] = nt
-            new_nonterminals.add(nt)
+            nt = lifted[t] = Symbol(NONTERMINAL, f"{t.base}#t", t.index)
             new_prods.append(Production(nt, (t,)))
         return nt
 
     for p in g.productions:
-        if _production_violation(p, g) is None:
+        if not _repairable(p) or _breaks_index_rule(p, g):
             new_prods.append(p)
             continue
         body = [lift(s) if s.kind == TERMINAL else s for s in p.rhs]
         if len(body) == 2:
             new_prods.append(Production(p.lhs, tuple(body)))
             continue
-        lhs_indexed = indexed(p.lhs)
+        lhs_indexed = g.is_indexed_symbol(p.lhs)
         cur = body[0]
         for at in range(1, len(body) - 1):
-            prefix_idx = any(indexed(s) for s in p.rhs[: at + 1])
-            suffix_idx = any(indexed(s) for s in p.rhs[at + 1 :])
-            k = helper_counts.get(p.lhs.base, 0) + 1
-            helper_counts[p.lhs.base] = k
-            helper = Symbol(
-                NONTERMINAL,
-                f"{p.lhs.base}#{k}",
-                var if prefix_idx and (suffix_idx or lhs_indexed) else None,
-            )
-            new_nonterminals.add(helper)
+            prefix_idx = any(map(g.is_indexed_symbol, p.rhs[: at + 1]))
+            suffix_idx = any(map(g.is_indexed_symbol, p.rhs[at + 1 :]))
+            k = helper_counts[p.lhs.base] = helper_counts.get(p.lhs.base, 0) + 1
+            tied = prefix_idx and (suffix_idx or lhs_indexed)
+            helper = Symbol(NONTERMINAL, f"{p.lhs.base}#{k}", g.index_variable if tied else None)
             new_prods.append(Production(helper, (cur, body[at])))
             cur = helper
         new_prods.append(Production(p.lhs, (cur, body[-1])))
 
-    out = Cfg(
-        nonterminals=frozenset(new_nonterminals),
-        terminals=g.terminals,
-        productions=tuple(new_prods),
-        start=g.start,
-        index_variable=var,
-    )
-    return validate_wcnf(out)
+    return WcnfGrammar(tuple(new_prods), g.start, g.index_variable)
 
 
 def ensure_wcnf(g: Cfg) -> WcnfGrammar:
-    """Validate ``g`` as-is, normalizing first only when needed."""
-    if isinstance(g, WcnfGrammar):
-        return g
-    try:
-        return validate_wcnf(g)
-    except WcnfViolationError:
-        return to_wcnf(g)
+    """``g`` itself if it is already a :class:`WcnfGrammar`, else
+    :func:`to_wcnf` of it."""
+    return g if isinstance(g, WcnfGrammar) else to_wcnf(g)
 
 
 def expand_indexed(g: WcnfGrammar, universe: Iterable[str]) -> WcnfGrammar:
     """Instantiate every index-parameterized production once per concrete
     index value, yielding an index-free grammar over concrete symbols.
 
-    With an empty universe the indexed productions simply vanish.
+    With an empty universe the indexed productions simply vanish, and with
+    them every symbol that only they name.
     """
     if not g.is_indexed:
         return g
@@ -450,36 +415,14 @@ def expand_indexed(g: WcnfGrammar, universe: Iterable[str]) -> WcnfGrammar:
 
     prods: list[Production] = []
     for p in g.productions:
-        syms = (p.lhs, *p.rhs)
-        if any(g.is_indexed_symbol(s) for s in syms):
-            for tag in tags:
-                prods.append(
-                    Production(concretize(p.lhs, tag), tuple(concretize(s, tag) for s in p.rhs))
-                )
+        if any(map(g.is_indexed_symbol, (p.lhs, *p.rhs))):
+            prods.extend(
+                Production(concretize(p.lhs, tag), tuple(concretize(s, tag) for s in p.rhs))
+                for tag in tags
+            )
         else:
             prods.append(p)
-
-    nonterms: set[Symbol] = set()
-    terms: set[Symbol] = set()
-    for s in g.nonterminals:
-        if g.is_indexed_symbol(s):
-            nonterms.update(Symbol(s.kind, s.base, tag) for tag in tags)
-        else:
-            nonterms.add(s)
-    for s in g.terminals:
-        if g.is_indexed_symbol(s):
-            terms.update(Symbol(s.kind, s.base, tag) for tag in tags)
-        else:
-            terms.add(s)
-
-    out = Cfg(
-        nonterminals=frozenset(nonterms),
-        terminals=frozenset(terms),
-        productions=tuple(prods),
-        start=g.start,
-        index_variable=None,
-    )
-    return validate_wcnf(out)
+    return WcnfGrammar(tuple(prods), g.start)
 
 
 # ---------------------------------------------------------------------------

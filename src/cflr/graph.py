@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
-from .grammar import Cfg, Symbol, TERMINAL
+from .grammar import Cfg, Symbol, TERMINAL, line_tokens
 
 
 class GraphFormatError(ValueError):
@@ -50,7 +50,8 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
     whose prefix matches an indexed terminal base of ``g`` is split into
     base and index at the first separator after the base (longest base
     wins); the index joins the graph's index universe in discovery order.
-    Exact duplicate triples are dropped.  ``#`` starts a comment line.
+    Exact duplicate triples are dropped.  A token that starts with ``#``
+    starts a comment, which runs to the end of the line.
     """
     if isinstance(source, str):
         source = source.splitlines()
@@ -80,8 +81,10 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
     edges: dict[tuple[int, Symbol, int], None] = {}
 
     for lineno, raw in enumerate(source, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        # a line without "#" is split directly: calling the helper on every
+        # line raised perfbench's setup_s by about a third
+        parts = raw.split() if "#" not in raw else line_tokens(raw)
+        if not parts:
             continue
         if len(parts) != 3:
             raise GraphFormatError(

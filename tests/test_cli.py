@@ -181,6 +181,16 @@ class TestSolveCommand:
         assert captured.err.startswith(f"cflr: unknown nonterminal '{terminal}';")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("variant", ["ma1", "ma14"])
+    def test_nonterminal_named_only_by_indexed_productions(self, variant, tmp_path, capsys):
+        """The graph has no tag, so ma1's expansion drops ``A -> c_[i]``;
+        ``A`` is still a nonterminal of the grammar, and it has no pairs."""
+        (tmp_path / "a.cfg").write_text("start: S\nS -> a\nA -> c_[i]\n")
+        argv = ["solve", "--graph", "chain(4)", "--grammar", str(tmp_path / "a.cfg")]
+        argv += ["--variant", variant, "--nonterminal", "A", "--report", str(tmp_path / "r.txt")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
     def test_timeout_exit_code(self, tmp_path):
         rc = main(
             [
@@ -322,6 +332,26 @@ def test_refused_start_symbol_is_one_line_input_error(grammar, graph, err, varia
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cflr: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "grammar",
+    [
+        "start: S\nS -> A_[i] a\nA_[i] -> B\nB -> b\n",
+        "S -> a b\nS a b\n",
+        "start: S\nS -> a\nstart: S\n",
+        "S -> a_[i] S a\n",
+        "S -> a_[i] S b_[j]\n",
+    ],
+    ids=["index-rule", "no-arrow", "second-start", "indexed-and-unindexed", "two-index-variables"],
+)
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
+def test_bad_grammar_is_one_line_input_error(command, grammar, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text(grammar)
+    assert main([command, "--graph", "chain(4)", "--grammar", str(tmp_path / "bad.cfg")]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cflr: ") and captured.err.count("\n") == 1
 
 
 class TestCheckCommand:

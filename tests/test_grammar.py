@@ -7,12 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflr.grammar import (
     EPSILON,
+    NONTERMINAL,
+    TERMINAL,
     GrammarError,
     Production,
     Symbol,
+    WcnfGrammar,
     WcnfViolationError,
     ensure_wcnf,
     expand_indexed,
@@ -90,6 +94,11 @@ class TestParse:
     def test_comment_and_semicolon(self):
         g = parse_grammar("# header\nS -> a S b ;  # trailing\nS -> a b\n")
         assert len(g.productions) == 2
+
+    def test_hash_inside_a_token_is_kept(self):
+        """Only a token that starts with ``#`` starts a comment."""
+        g = parse_grammar("S -> a b# note\nT -> a#old\n")
+        assert prod_names(g) == {("S", ("a", "b#", "note")), ("T", ("a#old",))}
 
     def test_optional_symbol_desugars(self):
         g = parse_grammar("A -> a M?\nM -> a\n")
@@ -170,6 +179,23 @@ class TestValidate:
     def test_indexed_lhs_needs_indexed_operand(self):
         with pytest.raises(WcnfViolationError):
             validate_wcnf(parse_grammar("A_[i] -> B C\nB -> a_[i]\nC -> c\n"))
+
+    @pytest.mark.parametrize(
+        "text, written",
+        [
+            ("X_[i] -> b\n", "X_i -> b"),
+            ("A_[i] -> B\nB -> b\n", "A_i -> B"),
+            ("A_[i] -> b c\n", "A_i -> b c"),
+            ("A_[i] -> b c d\n", "A_i -> b c d"),
+        ],
+    )
+    def test_index_rule_violation_quoted_as_written(self, text, written):
+        """``to_wcnf`` cannot repair the index rule, so it reports the
+        production as written, not a rewrite of it."""
+        with pytest.raises(GrammarError) as exc:
+            to_wcnf(parse_grammar(text))
+        assert isinstance(exc.value, WcnfViolationError)
+        assert exc.value.violations == [f"{written}: indexed result requires an indexed operand"]
 
 
 class TestToWcnf:
@@ -282,6 +308,16 @@ class TestPresets:
             g = preset(name)
             assert parse_grammar(serialize_grammar(g)) == g
 
+    @pytest.mark.parametrize(
+        "form",
+        [preset, lambda n: to_wcnf(preset(n)), lambda n: ensure_wcnf(preset(n))],
+        ids=["raw", "to_wcnf", "ensure_wcnf"],
+    )
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_normal_forms_read_back(self, name, form):
+        """Helper names such as ``a#t`` and ``S#1`` survive the comment rule."""
+        assert_reads_back(form(name))
+
 
 class TestExpandIndexed:
     def test_expansion_instantiates_families(self):
@@ -305,3 +341,67 @@ class TestExpandIndexed:
     def test_epsilon_key_groups_epsilon_rules(self):
         g = validate_wcnf(preset("cscvf-wcnf"))
         assert [s.name() for s in g.terminal_rules[EPSILON]] == ["A"]
+
+
+def assert_reads_back(g):
+    back = parse_grammar(serialize_grammar(g))
+    assert (back.productions, back.start, back.index_variable) == (
+        g.productions,
+        g.start,
+        g.index_variable,
+    )
+
+
+def assert_symbol_sets_derived(g):
+    named = {s for p in g.productions for s in (p.lhs, *p.rhs)}
+    assert g.nonterminals == {s for s in named if s.kind == NONTERMINAL}
+    assert g.terminals == {s for s in named if s.kind == TERMINAL}
+
+
+_BASES = ["S", "A", "B", "a", "b", "c"]
+
+
+@st.composite
+def grammar_texts(draw):
+    """Grammar text over a few bases, each of which is used either indexed
+    or plain throughout: optional symbols, ``eps``, unit rules, long bodies
+    and trailing comments."""
+    indexed = {base: draw(st.booleans()) for base in _BASES}
+
+    def token(base):
+        return f"{base}_[i]" if indexed[base] else base
+
+    body = st.lists(
+        st.tuples(st.sampled_from(_BASES), st.booleans()), min_size=1, max_size=4
+    ).map(lambda syms: " ".join(token(b) + ("?" if opt else "") for b, opt in syms))
+    alternatives = st.lists(st.one_of(st.just("eps"), body), min_size=1, max_size=3)
+    rule = st.tuples(st.sampled_from(_BASES[:3]), alternatives)
+    rules = draw(st.lists(rule, min_size=1, max_size=5))
+    lines = [f"{token(lhs)} -> {' | '.join(alts)}" for lhs, alts in rules]
+    if draw(st.booleans()):
+        lines.insert(0, f"start: {token(draw(st.sampled_from([lhs for lhs, _ in rules])))}")
+    return "".join(line + draw(st.sampled_from(["", " # note", "\t#note"])) + "\n" for line in lines)
+
+
+@given(grammar_texts(), st.sampled_from([(), ("f1",), ("f1", "f2")]))
+@settings(max_examples=150, deadline=None)
+def test_generated_grammars_derive_their_facts(text, tags):
+    """Each grammar's symbol sets are the symbols its productions name, a
+    production of the wrong shape cannot enter a ``WcnfGrammar``, and the
+    raw and normal forms read back from their text."""
+    g = parse_grammar(text)
+    assert_symbol_sets_derived(g)
+    assert_reads_back(g)
+    try:
+        w = to_wcnf(g)
+    except WcnfViolationError as exc:
+        # the one shape to_wcnf leaves as written
+        assert all(v.endswith(": indexed result requires an indexed operand") for v in exc.violations)
+        return
+    assert ensure_wcnf(g) == w
+    assert_symbol_sets_derived(w)
+    assert_reads_back(w)
+    assert_symbol_sets_derived(expand_indexed(w, tags))
+    for bad in ((w.start,) * 3, (Symbol(TERMINAL, "z"),) * 2):
+        with pytest.raises(WcnfViolationError):
+            WcnfGrammar((*w.productions, Production(w.start, bad)), w.start, w.index_variable)

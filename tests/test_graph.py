@@ -73,6 +73,16 @@ class TestLoad:
         with pytest.raises(GraphFormatError):
             load_graph("0 call_ 1\n", CSCVF)
 
+    def test_trailing_comment_ends_the_line(self):
+        g = load_graph("0 a 1 # note\n", DYCK)
+        assert g.edges == ((0, Symbol("terminal", "a"), 1),)
+
+    def test_comment_token_cuts_an_edge_short(self):
+        """``#w`` starts a comment, so it is not a vertex name."""
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph("0 a #w\n", DYCK)
+        assert str(exc.value) == "line 1: expected 'source label target', got 2 tokens"
+
     def test_duplicate_triples_dropped(self):
         g = load_graph("0 a 1\n0 a 1\n0 b 1\n", DYCK)
         assert len(g.edges) == 2
