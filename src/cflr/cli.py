@@ -134,10 +134,11 @@ def _load_graph(args, g: WcnfGrammar) -> tuple[LabeledGraph, str]:
     return load_graph(text, g, index_separator=args.index_separator), spec
 
 
-def _nonterminal_named(g: WcnfGrammar, graph: LabeledGraph, name: str) -> Symbol | None:
-    """The nonterminal of the loaded grammar that ``name`` names: a plain
-    one first, then a family member for one of the graph's tags.  Which
-    stores a variant makes does not matter."""
+def _nonterminals_by_name(g: WcnfGrammar, graph: LabeledGraph) -> dict[str, Symbol]:
+    """The nonterminals of the loaded grammar by the names ``--nonterminal``
+    accepts: the plain ones first, then a family member for each of the
+    graph's tags; a name keeps the first symbol that has it.  Which stores
+    a variant makes does not matter."""
     ordered = sorted(g.nonterminals, key=lambda s: (s.base, s.index or ""))
     plain = (s for s in ordered if not g.is_indexed_symbol(s))
     members = (
@@ -146,7 +147,10 @@ def _nonterminal_named(g: WcnfGrammar, graph: LabeledGraph, name: str) -> Symbol
         if g.is_indexed_symbol(s)
         for tag in graph.index_universe
     )
-    return next((s for s in chain(plain, members) if s.name() == name), None)
+    named: dict[str, Symbol] = {}
+    for s in chain(plain, members):
+        named.setdefault(s.name(), s)
+    return named
 
 
 def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
@@ -232,6 +236,12 @@ def _cmd_solve(args, files: ExitStack) -> int:
             f"pass --nonterminal with one of its members: {members or '(none)'}"
         )
     target = args.nonterminal or g.start.name()
+    named = _nonterminals_by_name(g, graph)
+    sym = named.get(target)
+    if sym is None:
+        raise CliInputError(
+            f"unknown nonterminal {target!r}; known: " + (", ".join(named) or "(none)")
+        )
     out = _open(args.output, sys.stdout, files)
     rep = _open(args.report, sys.stderr, files)
     flags = VariantFlags.named(args.variant, b=args.b)
@@ -242,13 +252,6 @@ def _cmd_solve(args, files: ExitStack) -> int:
     result = solve(graph, g, flags, deadline=deadline)
     wall = time.perf_counter() - t0
 
-    sym = _nonterminal_named(g, graph, target)
-    if sym is None:
-        known = sorted({s.name() for s, _, _ in result.triples()})
-        raise CliInputError(
-            f"unknown nonterminal {target!r}; nonterminals with results: "
-            + (", ".join(known) if known else "(none)")
-        )
     _write(out, _format_pairs(graph, result.matrices.pairs(sym)))
     _write(rep, _report_record(args.variant, grammar_id, graph_id, flags, result, wall))
     return EXIT_OK

@@ -9,7 +9,10 @@ the stored matrices M and masks the accumulators with M; what survives is
 the next delta, and the loop ends when none does.  With ``delta`` the
 products are M_old * delta (before the insert), delta * M_new and the unit
 rules on the delta; the baseline multiplies M * M and applies the unit
-rules to all of M.
+rules to all of M.  Each delta * M_new product runs row by row or, pushed
+through the delta's column view, as an outer product, whichever its
+operands' sizes favour (see ``gather``); ``dual_format`` turns M_old *
+delta into an outer product.
 
 All variants compute the same relation: entry (i, j) in symbol x's matrix
 iff some i -> j path spells a word derivable from x.
@@ -422,17 +425,37 @@ def solve(
         """Multiply every binary step's operands, ``lefts``/``rights`` of
         (symbol, repr, layout), into its result symbol's accumulator.  The
         right operands are row-major; column-major left operands make
-        outer products."""
+        outer products.
+
+        A delta on the left (delta * M_new) picks each product's direction
+        from its operands.  Pulled, row by row, the product visits every
+        line of the delta; pushed, through the delta's column view, it
+        visits each line of the right operand and scatters its entries.
+        So a delta in list form pushes when it has more lines than the
+        right operand has lines and entries together, and pulls otherwise,
+        as a bit-form delta always does: its rows skip the misses with one
+        AND each.  The column view is made once per delta and pass, and
+        only for a product with entries on both sides.  Both directions
+        form, count and put the same rows."""
         for st in plan.bin_steps:
             acc = accs[st.result[0]]
             ras = [_apply_transform(m, st.right_transform, n, k) for m in rights(*st.right, ROW)]
             for lm in lefts(*st.left, left_layout):
                 la = _apply_transform(lm, st.left_transform, n, k)
+                # the lines a list-form delta would pull; 0 never pushes
+                lines = len(la.lines) if lefts is delta_side and not la.bits else 0
+                pushed = None
                 for ra in ras:
                     # check_deadline(), inlined: it runs before every product
                     if deadline is not None and monotonic() > deadline:
                         raise SolveTimeout("solve exceeded its deadline")
-                    sparse.spgemm(la, ra, counter, into=acc)
+                    if lines and ra.nnz and lines > len(ra.lines) + ra.nnz:
+                        if pushed is None:
+                            cols = deltas[st.left[0]].copy(st.left[1], COL)
+                            pushed = _apply_transform(cols, st.left_transform, n, k)
+                        sparse.spgemm(pushed, ra, counter, into=acc)
+                    else:
+                        sparse.spgemm(la, ra, counter, into=acc)
 
     def materialized_view(snapshot: bool = False) -> NontermMatrix:
         """Every symbol's matrix, row-major.  These may share lines with

@@ -155,14 +155,35 @@ class TestSolveCommand:
         )
         assert rc == EXIT_INPUT
 
-    def test_unknown_nonterminal_lists_only_nonterminals_with_pairs(self, capsys):
-        """The start symbol ``M`` has no pair on a chain of ``a`` edges, so
-        it is not listed as having results."""
+    def test_unknown_nonterminal_lists_the_names_it_accepts(self, capsys):
+        """Every nonterminal of the grammar is listed, ``M`` and ``DV``
+        too, though they have no pair on a chain of ``a`` edges."""
         argv = ["solve", "--graph", "chain(4)", "--preset", "fsca-wcnf", "--nonterminal", "d"]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "cflr: unknown nonterminal 'd'; nonterminals with results: A, A_bar, V\n"
+            "cflr: unknown nonterminal 'd'; known: A, A_bar, DV, M, V\n"
         )
+
+    @pytest.mark.parametrize("variant", ["ma", "ma1", "ma14"])
+    def test_unknown_nonterminal_is_refused_before_the_solve(
+        self, variant, tmp_path, capsys, monkeypatch
+    ):
+        """A misspelt name exits at once, naming the plain nonterminals and
+        a family member for each of the graph's tags, and writes no file."""
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved for a name that names no nonterminal")
+
+        monkeypatch.setattr(cflr.cli, "solve", no_solve)
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 call_f0 1\n1 a 2\n2 ret_f0 3\n3 call_f1 4\n")
+        out = tmp_path / "p.txt"
+        argv = ["solve", "--graph", str(graph), "--preset", "cscvf-wcnf", "--variant", variant]
+        assert main(argv + ["--nonterminal", "AR_f2", "--output", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", "cflr: unknown nonterminal 'AR_f2'; known: A, AH, AR_f0, AR_f1\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["ma1", "ma14"])
     @pytest.mark.parametrize("terminal", ["d", "f_f0"])

@@ -6,7 +6,7 @@ import pytest
 
 import cflr.solver
 import cflr.sparse
-from cflr.grammar import ensure_wcnf, parse_grammar, preset
+from cflr.grammar import PRESET_NAMES, ensure_wcnf, parse_grammar, preset
 from cflr.graph import chain_graph, load_graph
 from cflr.oracle import oracle_solve
 from cflr.solver import (
@@ -30,6 +30,7 @@ from _support import (
     random_boolmat,
     random_instance,
     semiring_matmul,
+    sized_graph_text,
     total_nnz,
     triple_names,
 )
@@ -328,15 +329,67 @@ class TestSolve:
                 solve(graph, g, VariantFlags.named("ma1"), iteration_hook=hook)
 
     def test_dual_format_changes_layouts_only(self):
+        """dual_format changes which copies are kept and which way each
+        product runs, never which products are formed or what they visit."""
         rng = random.Random(29)
-        for name in ("dyck", "fsjpt-opt"):
+        for name in PRESET_NAMES:
             g = ensure_wcnf(preset(name))
-            for _ in range(5):
-                graph = random_instance(g, rng, max_vertices=12, max_edges=35, max_indices=3)
-                plain = solve(graph, g, VariantFlags(delta=True))
-                dual = solve(graph, g, VariantFlags(delta=True, dual_format=True))
-                assert plain.triples() == dual.triples()
-                assert plain.iterations == dual.iterations
+            for blocks in (False, True):
+                for _ in range(5):
+                    graph = random_instance(g, rng, max_vertices=12, max_edges=35, max_indices=3)
+                    flags = [
+                        VariantFlags(delta=True, dual_format=d, indexed_blocks=blocks)
+                        for d in (False, True)
+                    ]
+                    plain, dual = (solve(graph, g, f) for f in flags)
+                    assert plain.triples() == dual.triples()
+                    assert plain.iterations == dual.iterations
+                    assert plain.counters.spgemm_calls == dual.counters.spgemm_calls
+                    assert plain.counters.scalar_ops == dual.counters.scalar_ops
+
+    def test_delta_pushes_where_it_pays_and_keeps_the_work(self, monkeypatch):
+        """Under ma1 the first delta of ``A`` is the epsilon diagonal, a
+        line for each of the 60 vertices, and it drives a product with each
+        ``ret_f*``, which has a few edges: those products push, through the
+        delta's column view.  The products are the same as when every one
+        pulled: the counters and iterations are those recorded before any
+        delta pushed."""
+        g = ensure_wcnf(preset("cscvf-wcnf"))
+        graph = load_graph(sized_graph_text(g, random.Random(1), 60, 90, 4), g)
+        assert len(graph.index_universe) == 4
+        spgemm = cflr.sparse.spgemm
+        pushed = []  # (delta lines, right lines + entries) of each push
+
+        def recording(a, b, *args, **kwargs):
+            # without dual_format only a delta is ever a column-major left
+            if a.layout == COL:
+                pushed.append((len({i for col in a.lines.values() for i in col}), len(b.lines) + b.nnz))
+            return spgemm(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(cflr.sparse, "spgemm", recording)
+        r = solve(graph, g, VariantFlags.named("ma1"))
+        assert pushed and all(lines > right for lines, right in pushed), pushed
+        assert r.triples() == oracle_solve(graph, g)
+        assert r.counters.as_dict() == {"spgemm_calls": 160, "scalar_ops": 136, "union_entries": 418}
+        assert r.iterations == 8
+
+    def test_no_transpose_for_a_product_with_an_empty_operand(self, monkeypatch):
+        """``S``'s delta, the epsilon diagonal, drives ``S -> S B``, but no
+        rule ever produces ``B``: the product is empty whichever way it
+        runs, so the delta is never transposed for it."""
+        g = ensure_wcnf(parse_grammar("start: S\nS -> eps | S B\nB -> B c\n"))
+        graph = load_graph("0 c 1\n1 c 2\n2 c 3\n", g)
+        convert = cflr.sparse.convert
+        converted = []
+
+        def recording(*args, **kwargs):
+            converted.append(args)
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(cflr.sparse, "convert", recording)
+        r = solve(graph, g, VariantFlags.named("ma1"))
+        assert r.triples() == oracle_solve(graph, g) and r.counters.spgemm_calls
+        assert converted == []
 
     def test_forest_variant_b_values(self):
         g = ensure_wcnf(preset("cscvf-wcnf"))
