@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 # smallest accepted value of each numeric flag; a flag a command lacks is
 # skipped
-_MINIMUMS = {"b": 2, "reps": 1, "timeout_secs": 0, "oracle_limit": 0}
+_MINIMUMS = {"reps": 1, "timeout_secs": 0, "oracle_limit": 0}
 
 
 def _variants(args) -> list[str]:
@@ -71,11 +71,6 @@ def _bad_usage(args) -> str | None:
         return "pass either --grammar or --preset, not both"
     if getattr(args, "variants", None) is not None:
         names = _variants(args)
-        if not names or not set(names) <= set(VARIANT_NAMES):
-            return (
-                f"--variants needs one or more of {', '.join(VARIANT_NAMES)}, "
-                f"got {args.variants!r}"
-            )
         if "ma12345" in names:
             # the fifth optimization is a grammar choice, which --variants
             # cannot make once per variant
@@ -83,6 +78,11 @@ def _bad_usage(args) -> str | None:
             return (
                 "--variants cannot run ma12345, ma1234 on a hand-tuned grammar: "
                 f"pass ma1234 with --preset <name>-opt (tuned presets: {tuned})"
+            )
+        if not names or not set(names) <= set(VARIANT_NAMES):
+            return (
+                f"--variants needs one or more of {', '.join(VARIANT_NAMES)}, "
+                f"got {args.variants!r}"
             )
     return None
 
@@ -174,7 +174,6 @@ def _report_record(
     variant: str,
     grammar_id: str,
     graph_id: str,
-    flags: VariantFlags,
     result,
     wall_seconds: float,
     extra: list[str] | None = None,
@@ -184,7 +183,6 @@ def _report_record(
         f"variant={variant}",
         f"grammar={grammar_id}",
         f"graph={graph_id}",
-        f"b={flags.b}",
         f"iterations={result.iterations}",
         f"wall_seconds={wall_seconds:.6f}",
         f"peak_mem_bytes={_peak_memory_bytes()}",
@@ -244,7 +242,7 @@ def _cmd_solve(args, files: ExitStack) -> int:
         )
     out = _open(args.output, sys.stdout, files)
     rep = _open(args.report, sys.stderr, files)
-    flags = VariantFlags.named(args.variant, b=args.b)
+    flags = VariantFlags.named("ma1234" if args.variant == "ma12345" else args.variant)
     deadline = None
     if args.timeout_secs is not None:
         deadline = time.monotonic() + args.timeout_secs
@@ -253,7 +251,7 @@ def _cmd_solve(args, files: ExitStack) -> int:
     wall = time.perf_counter() - t0
 
     _write(out, _format_pairs(graph, result.matrices.pairs(sym)))
-    _write(rep, _report_record(args.variant, grammar_id, graph_id, flags, result, wall))
+    _write(rep, _report_record(args.variant, grammar_id, graph_id, result, wall))
     return EXIT_OK
 
 
@@ -261,7 +259,6 @@ def run_check(
     graph: LabeledGraph,
     g: WcnfGrammar,
     variants: list[str],
-    b: int = 10,
     solve_fn=solve,
     out=sys.stdout,
 ) -> int:
@@ -269,8 +266,7 @@ def run_check(
     first divergence and return the matching exit code."""
     reference = oracle_solve(graph, g)
     for variant in variants:
-        flags = VariantFlags.named(variant, b=b)
-        got = solve_fn(graph, g, flags).triples()
+        got = solve_fn(graph, g, VariantFlags.named(variant)).triples()
         if got == reference:
             continue
         disagreements = sorted(
@@ -298,7 +294,7 @@ def _cmd_check(args, files: ExitStack) -> int:
             f"instance has {graph.vertex_count} vertices, above the oracle guard "
             f"of {args.oracle_limit}; raise --oracle-limit to force"
         )
-    return run_check(graph, g, _variants(args), b=args.b)
+    return run_check(graph, g, _variants(args))
 
 
 def _cmd_bench(args, files: ExitStack) -> int:
@@ -308,9 +304,8 @@ def _cmd_bench(args, files: ExitStack) -> int:
     records = []
     timed_out = False
     for variant in _variants(args):
-        flags = VariantFlags.named(variant, b=args.b)
+        flags = VariantFlags.named(variant)
         walls: list[float] = []
-        result = None
         status = "ok"
         for _ in range(args.reps):
             deadline = time.monotonic() + args.timeout_secs
@@ -322,7 +317,7 @@ def _cmd_bench(args, files: ExitStack) -> int:
                 timed_out = True
                 break
             walls.append(time.perf_counter() - t0)
-        if status == "oot" or result is None:
+        if status == "oot":
             records.append(
                 f"variant={variant}\ngrammar={grammar_id}\ngraph={graph_id}\n"
                 f"status=oot\ntimeout_secs={args.timeout_secs}\n"
@@ -337,7 +332,7 @@ def _cmd_bench(args, files: ExitStack) -> int:
             f"std_seconds={std}",
         ]
         records.append(
-            _report_record(variant, grammar_id, graph_id, flags, result, mean, extra)
+            _report_record(variant, grammar_id, graph_id, result, mean, extra)
         )
     _write(rep, "\n".join(records))
     return EXIT_TIMEOUT if timed_out else EXIT_OK
@@ -352,8 +347,8 @@ def _add_common(p: argparse.ArgumentParser, with_variant: bool) -> None:
     p.add_argument("--grammar", help="grammar file")
     p.add_argument("--preset", help="built-in grammar name")
     if with_variant:
-        p.add_argument("--variant", default="ma1234", choices=VARIANT_NAMES)
-    p.add_argument("--b", type=int, default=10, help="forest growth factor (default 10)")
+        # ma12345 is ma1234 on a preset's hand-tuned grammar
+        p.add_argument("--variant", default="ma1234", choices=(*VARIANT_NAMES, "ma12345"))
     p.add_argument("--index-separator", default="_")
 
 
@@ -401,10 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with ExitStack() as files:
             return args.fn(args, files)
-    except CliInputError as exc:
-        print(f"cflr: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GrammarError, GraphFormatError) as exc:
+    except (CliInputError, GrammarError, GraphFormatError) as exc:
         print(f"cflr: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolveTimeout:

@@ -74,10 +74,6 @@ class Symbol:
 EPSILON = Symbol(EPSILON_KIND, "", None)
 
 
-def terminal(base: str, index: str | None = None) -> Symbol:
-    return Symbol(TERMINAL, base, index)
-
-
 def nonterminal(base: str, index: str | None = None) -> Symbol:
     return Symbol(NONTERMINAL, base, index)
 

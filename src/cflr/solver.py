@@ -38,16 +38,16 @@ from .semiring import (
 )
 from .sparse import Accumulator, BoolMat, COL, OpCounter, ROW
 
-VARIANT_NAMES = ("ma", "ma1", "ma14", "ma1234", "ma12345")
-
+# the paper's fifth optimization is a grammar choice, a preset's hand-tuned
+# counterpart, not an engine flag, so it names no bundle here
 _NAMED_FLAGS: dict[str, dict[str, bool]] = {
     "ma": {},
     "ma1": {"delta": True},
     "ma14": {"delta": True, "indexed_blocks": True},
     "ma1234": {"delta": True, "dual_format": True, "lazy_union": True, "indexed_blocks": True},
-    # the fifth optimization is a grammar choice, not an engine flag
-    "ma12345": {"delta": True, "dual_format": True, "lazy_union": True, "indexed_blocks": True},
 }
+
+VARIANT_NAMES = tuple(_NAMED_FLAGS)
 
 
 class SolveTimeout(RuntimeError):
@@ -60,25 +60,22 @@ class VariantFlags:
     dual_format: bool = False
     lazy_union: bool = False
     indexed_blocks: bool = False
-    b: int = 10
 
     def __post_init__(self):
         if self.lazy_union and not self.delta:
             raise ValueError("lazy_union requires delta (the forest absorbs deltas)")
         if self.dual_format and not self.delta:
             raise ValueError("dual_format requires delta (deltas pick the product direction)")
-        if not isinstance(self.b, int) or self.b <= 1:
-            raise ValueError("forest growth factor b must be an integer > 1")
 
     @classmethod
-    def named(cls, name: str, b: int = 10) -> "VariantFlags":
+    def named(cls, name: str) -> "VariantFlags":
         try:
             kw = _NAMED_FLAGS[name]
         except KeyError:
             raise ValueError(
                 f"unknown variant {name!r} (known: {', '.join(VARIANT_NAMES)})"
             ) from None
-        return cls(b=b, **kw)
+        return cls(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +246,14 @@ class _Store:
         "sym", "keys", "canonical", "dims", "n", "k", "forest", "bundles", "bit_keys", "pending",
     )
 
-    def __init__(self, sym, keys, canonical, n, k, lazy: bool, b: int):
+    def __init__(self, sym, keys, canonical, n, k, lazy: bool):
         self.sym = sym
         self.keys = tuple(keys)
         self.canonical = canonical
         self.dims = matrix_dims(canonical[0], n, k)
         self.n = n
         self.k = k
-        self.forest = MatrixForest(b, combine=_fold) if lazy else None
+        self.forest = MatrixForest(combine=_fold) if lazy else None
         self.bundles: list[_Bundle] = [] if lazy else [_Bundle(
             {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
         )]
@@ -381,7 +378,7 @@ def solve(
 
     counter = OpCounter()
     stores = {
-        s: _Store(s, sorted(needs[s]), (r, ROW), n, k, flags.lazy_union, flags.b)
+        s: _Store(s, sorted(needs[s]), (r, ROW), n, k, flags.lazy_union)
         for s, r in plan.stored.items()
     }
     max_iterations = sum(st.dims[0] * st.dims[1] for st in stores.values()) + 2

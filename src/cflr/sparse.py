@@ -671,14 +671,11 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
 
 def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     """Re-index per-slot blocks from horizontal to vertical storage: entry
-    (u, t*n + w) becomes (t*n + u, w)."""
+    (u, t*n + w) becomes (t*n + u, w).  ``h`` must be row-major."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
-    if h.layout == COL:
-        # the engine only moves row-major blocks; other input goes through
-        # the row path
-        v = convert(horizontal_to_vertical(convert(h, ROW), n, universe), COL)
-        return BoolMat(v.rows, v.cols, COL, {j: line[:] for j, line in v.lines.items()})
+    if h.layout != ROW:
+        raise ValueError(f"a block move takes row-major matrices, got {h!r}")
     out: dict[int, list[int]] = {}
     # a sorted line meets each block in one sorted run: row u's run in
     # block t, moved left by t*n, is row t*n + u; block 0 keeps its int

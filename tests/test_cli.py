@@ -1,4 +1,7 @@
+import argparse
 import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +12,13 @@ from cflr.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    build_parser,
     main,
     run_check,
 )
 from cflr.grammar import ensure_wcnf, preset
 from cflr.graph import load_graph
-from cflr.solver import solve
+from cflr.solver import VariantFlags, solve
 
 
 @pytest.fixture
@@ -103,6 +107,32 @@ class TestSolveCommand:
             ]
         )
         assert rc == EXIT_INPUT
+
+    def test_ma12345_is_ma1234_on_the_tuned_grammar(self, tmp_path, monkeypatch):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 d_bar 1\n1 d 2\n")
+        out, rep = tmp_path / "pairs.txt", tmp_path / "rep.txt"
+        seen = []
+
+        def recording(graph, g, flags, **kwargs):
+            seen.append((g, flags))
+            return solve(graph, g, flags, **kwargs)
+
+        monkeypatch.setattr(cflr.cli, "solve", recording)
+        argv = ["solve", "--graph", str(graph), "--preset", "fica", "--variant", "ma12345"]
+        assert main(argv + ["--output", str(out), "--report", str(rep)]) == EXIT_OK
+        assert seen == [(ensure_wcnf(preset("fica-opt")), VariantFlags.named("ma1234"))]
+        report = read(rep).splitlines()
+        assert report[:2] == ["variant=ma12345", "grammar=fica-opt"]
+        assert read(out) == "0 2\n"
+
+    def test_non_numeric_vertex_names_sort_by_name(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("n9 a m\nm b n8\nn10 a k\nk b n11\n")
+        out = tmp_path / "pairs.txt"
+        argv = ["solve", "--graph", str(graph), "--preset", "dyck", "--output", str(out)]
+        assert main(argv + ["--report", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert read(out) == "n10 n11\nn9 n8\n"
 
     def test_missing_grammar(self, dyck_path_graph):
         rc = main(["solve", "--graph", str(dyck_path_graph), "--variant", "ma"])
@@ -229,7 +259,7 @@ class TestSolveCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--graph", "chain(4)", "--b", "1"],
+        ["bench", "--graph", "chain(4)", "--timeout-secs", "nan"],
         ["bench", "--graph", "chain(4)", "--reps", "0"],
         ["solve", "--graph", "chain(4)", "--timeout-secs", "-1"],
         ["check", "--graph", "chain(4)", "--oracle-limit", "-1"],
@@ -237,6 +267,24 @@ class TestSolveCommand:
 )
 def test_bad_numeric_flag_is_one_line_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cflr: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
+def test_growth_factor_is_not_an_option(command, capsys):
+    """The forest growth factor is fixed at 10, so ``--b`` is an
+    unrecognized argument."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "chain(4)", "--b", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "error: unrecognized arguments: --b 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["chain(3)", "grid(0)"])
+def test_bad_synthetic_size_is_one_line_input_error(spec, capsys):
+    assert main(["solve", "--graph", spec]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cflr: ") and captured.err.count("\n") == 1
@@ -467,6 +515,14 @@ class TestBenchCommand:
         assert all(pk == pair_keys[0] for pk in pair_keys)
         assert all("mean_seconds" in rec for rec in records)
 
+    def test_timeout_reports_every_variant_out_of_time(self, tmp_path):
+        rep = tmp_path / "bench.txt"
+        argv = ["bench", "--graph", "chain(16)", "--timeout-secs", "0", "--reps", "2"]
+        assert main(argv + ["--report", str(rep)]) == EXIT_TIMEOUT
+        records = self._records(read(rep))
+        assert [r["variant"] for r in records] == ["ma", "ma1", "ma14", "ma1234"]
+        assert all(r["status"] == "oot" and r["timeout_secs"] == "0.0" for r in records)
+
     def test_counter_ratio_visible_in_bench(self, tmp_path):
         rep = tmp_path / "bench.txt"
         rc = main(
@@ -481,3 +537,38 @@ class TestBenchCommand:
         assert rc == EXIT_OK
         rec = {r["variant"]: r for r in self._records(read(rep))}
         assert int(rec["ma"]["scalar_ops"]) > int(rec["ma1"]["scalar_ops"])
+
+
+def _readme_command_line() -> str:
+    """README's "Command line" section, up to the next top-level heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = text.index("\n## Command line\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_command_line()))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    assert len(named) > 5 and named <= accepted, named - accepted
+
+
+def test_readme_report_keys_are_the_keys_written(tmp_path):
+    section = _readme_command_line()
+    listed = section[section.index("Keys:") : section.index("Counters and pair files")]
+    documented = set(re.findall(r"`([a-z_]+)`", listed))
+    reports = [tmp_path / f"{name}.txt" for name in ("solve", "bench", "oot")]
+    runs = [
+        ["solve", "--graph", "chain(4)", "--output", str(tmp_path / "p.txt")],
+        ["bench", "--graph", "chain(4)", "--variants", "ma1", "--reps", "1"],
+        ["bench", "--graph", "chain(4)", "--variants", "ma1", "--timeout-secs", "0"],
+    ]
+    for argv, report in zip(runs, reports):
+        main(argv + ["--report", str(report)])
+    written = {
+        line.split("=", 1)[0]
+        for report in reports
+        for line in read(report).splitlines()
+        if line and not line.startswith("pairs.")
+    }
+    assert documented == written

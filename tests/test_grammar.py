@@ -27,6 +27,7 @@ from cflr.grammar import (
     to_wcnf,
     validate_wcnf,
 )
+from cflr.cli import EXIT_INPUT, main as cli_main
 from cflr.oracle import oracle_solve
 from _support import naive_general_reach, random_instance, triple_names
 
@@ -135,6 +136,37 @@ class TestParse:
     def test_eps_must_stand_alone(self):
         with pytest.raises(GrammarError):
             parse_grammar("S -> a eps b\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("start: S T\nS -> a\n", 1, "start directive expects exactly one symbol"),
+        ("start:\nS -> a\n", 1, "start directive expects exactly one symbol"),
+        ("A B -> c\n", 1, "left-hand side must be a single symbol"),
+        ("# no rules\n\n", None, "grammar has no rules"),
+        ("S -> ?\n", 1, "dangling '?'"),
+        ("S -> a[\n", 1, "malformed symbol token 'a['"),
+        ("S? -> a\n", 1, "left-hand side cannot be optional"),
+        ("eps -> a\n", 1, "'eps' cannot be a left-hand side"),
+        ("A -> a\nA_[i] -> b_[i]\n", 2, "symbol 'A' used both indexed and unindexed"),
+    ],
+    ids=[
+        "two-start-symbols", "empty-start", "two-symbol-lhs", "no-rules", "dangling-optional",
+        "open-bracket", "optional-lhs", "eps-lhs", "indexed-after-plain",
+    ],
+)
+def test_parser_refusal_names_its_line(text, line, message, tmp_path, capsys):
+    """Each refusal carries its message and line, and ``cflr solve`` prints
+    it as one line and exits 2."""
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar(text)
+    want = message if line is None else f"line {line}: {message}"
+    assert exc.value.line == line and str(exc.value) == want
+    (tmp_path / "bad.cfg").write_text(text)
+    assert cli_main(["solve", "--graph", "chain(4)", "--grammar", str(tmp_path / "bad.cfg")]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"cflr: {want}\n"
 
 
 class TestValidate:

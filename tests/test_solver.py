@@ -1,6 +1,7 @@
 import random
 import time
 import weakref
+from dataclasses import fields
 
 import pytest
 
@@ -21,7 +22,7 @@ from cflr.solver import (
     _Store,
     _fold,
 )
-from cflr.semiring import PLAIN, initial_matrix
+from cflr.semiring import HBLOCK, PLAIN, UnitStep, build_rule_plan, initial_matrix
 from cflr.grammar import nonterminal
 from cflr.sparse import COL, ROW, BoolMat, convert, union
 from _support import (
@@ -51,12 +52,20 @@ class TestVariantFlags:
             VariantFlags(lazy_union=True)
         with pytest.raises(ValueError):
             VariantFlags(dual_format=True)
-        with pytest.raises(ValueError):
-            VariantFlags(delta=True, b=1)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             VariantFlags.named("ma9")
+
+    def test_the_four_engine_flags_are_the_whole_configuration(self):
+        """The paper's fifth optimization is a grammar choice, so no flag
+        bundle is named for it."""
+        assert [f.name for f in fields(VariantFlags)] == [
+            "delta", "dual_format", "lazy_union", "indexed_blocks",
+        ]
+        assert VARIANT_NAMES == ("ma", "ma1", "ma14", "ma1234")
+        with pytest.raises(ValueError, match="unknown variant 'ma12345'"):
+            VariantFlags.named("ma12345")
 
 
 class TestForest:
@@ -170,13 +179,11 @@ class TestForest:
         form for n=12, in list form for n=1000), and building it changes
         no piece nor shares a line list with one."""
         rng = random.Random(29)
-        store = _Store(
-            nonterminal("S"), [(PLAIN, ROW), (PLAIN, COL)], (PLAIN, ROW), n, 0, lazy=True, b=2
-        )
+        store = _Store(nonterminal("S"), [(PLAIN, ROW), (PLAIN, COL)], (PLAIN, ROW), n, 0, lazy=True)
         assert store.materialized() == BoolMat.empty(n, n)
         everything = BoolMat.empty(n, n)
-        # falling sizes, so the b=2 forest keeps several pieces
-        for count in (most, most // 8, most // 40, 1):
+        # sizes more than 10 times apart, so the forest (b = 10) keeps both
+        for count in (most, most // 20):
             drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
             d = difference(BoolMat.from_entries(n, n, drawn), everything)
             store.insert(_DeltaView(d, store), None)
@@ -230,6 +237,26 @@ class TestSolve:
             for v in ALL_VARIANTS:
                 assert solve(graph, g, VariantFlags.named(v)).triples() == want
 
+    def test_unit_rule_between_families_runs_block_to_block(self):
+        """``B_[i] -> A_[i]`` under ``indexed_blocks`` pours A's block row
+        into B's as it stands, and every variant still agrees with the
+        oracle on graphs with two or more tags."""
+        g = ensure_wcnf(
+            parse_grammar("S -> B_[i] x | S a\nB_[i] -> A_[i]\nA_[i] -> c_[i] | A_[i] a\n")
+        )
+        a, b = nonterminal("A", "i"), nonterminal("B", "i")
+        assert build_rule_plan(g, indexed_blocks=True).unit_steps == (
+            UnitStep((b, HBLOCK), (a, HBLOCK), transform=None),
+        )
+        rng = random.Random(18)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            text = sized_graph_text(g, rng, n, rng.randint(1, 30), rng.randint(2, 4))
+            graph = load_graph(f"0 c_f0 1\n1 c_f1 0\n{text}", g)
+            want = oracle_solve(graph, g)
+            for v in VARIANT_NAMES:
+                assert solve(graph, g, VariantFlags.named(v)).triples() == want
+
     def test_monotone_iterations_and_bound(self):
         g = ensure_wcnf(preset("cscvf-wcnf"))
         rng = random.Random(11)
@@ -260,7 +287,7 @@ class TestSolve:
         def hook(it, m_old, delta, m):
             kept.append((m_old, m_old.to_triples(), m, m.to_triples()))
 
-        solve(graph, g, VariantFlags.named(variant, b=2), iteration_hook=hook)
+        solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
         assert len(kept) > 2 and kept[-1][1]
         for m_old, old_triples, m, triples in kept:
             assert m_old.to_triples() == old_triples
@@ -390,17 +417,6 @@ class TestSolve:
         r = solve(graph, g, VariantFlags.named("ma1"))
         assert r.triples() == oracle_solve(graph, g) and r.counters.spgemm_calls
         assert converted == []
-
-    def test_forest_variant_b_values(self):
-        g = ensure_wcnf(preset("cscvf-wcnf"))
-        rng = random.Random(17)
-        for b in (2, 10):
-            flags = VariantFlags(
-                delta=True, dual_format=True, lazy_union=True, indexed_blocks=True, b=b
-            )
-            for _ in range(4):
-                graph = random_instance(g, rng, max_vertices=12, max_edges=35, max_indices=3)
-                assert solve(graph, g, flags).triples() == oracle_solve(graph, g)
 
     def test_counters_deterministic(self):
         g = ensure_wcnf(preset("fsjpt-opt"))
