@@ -11,6 +11,7 @@ import re
 import statistics
 import sys
 import time
+from collections import Counter
 from contextlib import ExitStack
 from itertools import chain
 
@@ -156,7 +157,7 @@ def _nonterminals_by_name(g: WcnfGrammar, graph: LabeledGraph) -> dict[str, Symb
 def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
     names = graph.vertex_names
     rows = [(names[u], names[v]) for u, v in pairs]
-    if all(a.isdigit() and b.isdigit() for a, b in rows):
+    if all(a.isdecimal() and b.isdecimal() for a, b in rows):
         rows.sort(key=lambda r: (int(r[0]), int(r[1])))
     else:
         rows.sort()
@@ -164,9 +165,7 @@ def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
 
 
 def _pair_counts(result) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for sym, _, _ in result.triples():
-        counts[sym.name()] = counts.get(sym.name(), 0) + 1
+    counts = Counter(sym.name() for sym, _, _ in result.triples())
     return dict(sorted(counts.items()))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -43,23 +43,13 @@ class WcnfViolationError(GrammarError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
+    """A grammar symbol.  It is a plain tuple, so it equals, and hashes as,
+    the bare ``(kind, base, index)``."""
+
     kind: str
     base: str
     index: str | None = None
-    # symbols key the solver's dicts, so the hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.base, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild, do not copy
-        return (Symbol, (self.kind, self.base, self.index))
 
     def name(self) -> str:
         if self.kind == EPSILON_KIND:

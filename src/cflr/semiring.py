@@ -8,14 +8,15 @@ its product decomposes into one Boolean product per binary production.
 Indexed symbol families are stored as block matrices over the index
 universe of size k: a horizontal |V| x k|V| block row and/or a vertical
 k|V| x |V| block column, so one Boolean product covers a whole family of
-productions at once.  Five execution shapes cover every accepted rule:
+productions at once.  Seven shapes cover every accepted binary rule:
 
   plain    c   -> x   y      plain  = plain . plain
   paired   c   -> x_i y_i    plain  = H[x] . V[y]
   keep-r   c_i -> x   y_i    H[c]   = plain . H[y]
   keep-l   c_i -> x_i y      V[c]   = V[x] . plain
   locked   c_i -> x_i y_i    V[c]   = diag(V[x]) . V[y]
-  drop     c   -> x_i y      plain  = collapse(x) . plain   (and mirrored)
+  drop-l   c   -> x_i y      plain  = collapse(x) . plain
+  drop-r   c   -> x   y_i    plain  = plain . collapse(y)
 """
 
 from __future__ import annotations
@@ -78,6 +79,27 @@ class UnitStep:
     transform: str | None = None  # "collapse"
 
 
+# Whether (result, left, right) are indexed families -> (result repr, left
+# repr, right repr, left transform, right transform), in the order of the
+# shapes above.  An indexed result needs an indexed operand, so neither
+# (True, False, False) here nor (True, False) in the unit table occurs.
+_BIN_SHAPES = {
+    (False, False, False): (PLAIN, PLAIN, PLAIN, None, None),
+    (False, True, True): (PLAIN, HBLOCK, VBLOCK, None, None),
+    (True, False, True): (HBLOCK, PLAIN, HBLOCK, None, None),
+    (True, True, False): (VBLOCK, VBLOCK, PLAIN, None, None),
+    (True, True, True): (VBLOCK, VBLOCK, VBLOCK, "diag", None),
+    (False, True, False): (PLAIN, HBLOCK, PLAIN, "collapse", None),
+    (False, False, True): (PLAIN, PLAIN, HBLOCK, None, "collapse"),
+}
+# Whether (result, source) are indexed -> (result repr, source repr, transform).
+_UNIT_SHAPES = {
+    (False, False): (PLAIN, PLAIN, None),
+    (True, True): (HBLOCK, HBLOCK, None),
+    (False, True): (PLAIN, HBLOCK, "collapse"),
+}
+
+
 @dataclass(frozen=True)
 class RulePlan:
     """The steps, and the one table of the symbols that own a matrix:
@@ -107,40 +129,16 @@ def build_rule_plan(g: WcnfGrammar, indexed_blocks: bool = False) -> RulePlan:
     }
     bins: list[BinStep] = []
     for c, x, y in g.binary_rules:
-        ic, il, ir = is_ix(c), is_ix(x), is_ix(y)
-        for s, ix in ((x, il), (y, ir)):
+        for s in (x, y):
             if s.kind == TERMINAL:
-                stored.setdefault(s, HBLOCK if ix else PLAIN)
-        if not ic and not il and not ir:
-            bins.append(BinStep((c, PLAIN), (x, PLAIN), (y, PLAIN)))
-        elif not ic and il and ir:
-            bins.append(BinStep((c, PLAIN), (x, HBLOCK), (y, VBLOCK)))
-        elif ic and not il and ir:
-            bins.append(BinStep((c, HBLOCK), (x, PLAIN), (y, HBLOCK)))
-        elif ic and il and not ir:
-            bins.append(BinStep((c, VBLOCK), (x, VBLOCK), (y, PLAIN)))
-        elif ic and il and ir:
-            bins.append(
-                BinStep((c, VBLOCK), (x, VBLOCK), (y, VBLOCK), left_transform="diag")
-            )
-        elif not ic and il and not ir:
-            bins.append(
-                BinStep((c, PLAIN), (x, HBLOCK), (y, PLAIN), left_transform="collapse")
-            )
-        else:  # not ic and not il and ir
-            bins.append(
-                BinStep((c, PLAIN), (x, PLAIN), (y, HBLOCK), right_transform="collapse")
-            )
+                stored.setdefault(s, HBLOCK if is_ix(s) else PLAIN)
+        rc, rx, ry, lt, rt = _BIN_SHAPES[is_ix(c), is_ix(x), is_ix(y)]
+        bins.append(BinStep((c, rc), (x, rx), (y, ry), lt, rt))
 
     units: list[UnitStep] = []
     for c, s in g.unit_rules:
-        ic, isrc = is_ix(c), is_ix(s)
-        if ic and isrc:
-            units.append(UnitStep((c, HBLOCK), (s, HBLOCK)))
-        elif not ic and isrc:
-            units.append(UnitStep((c, PLAIN), (s, HBLOCK), transform="collapse"))
-        else:
-            units.append(UnitStep((c, PLAIN), (s, PLAIN)))
+        rc, rs, t = _UNIT_SHAPES[is_ix(c), is_ix(s)]
+        units.append(UnitStep((c, rc), (s, rs), t))
 
     return RulePlan(tuple(bins), tuple(units), stored)
 

@@ -20,7 +20,7 @@ either form in any mix and counts the same work for both.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator
@@ -50,11 +50,7 @@ class OpCounter:
     union_entries: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "spgemm_calls": self.spgemm_calls,
-            "scalar_ops": self.scalar_ops,
-            "union_entries": self.union_entries,
-        }
+        return asdict(self)
 
 
 def _positions(x: int) -> list[int]:
@@ -223,33 +219,6 @@ def _bit_lines(m: BoolMat) -> dict:
     if m.bits:
         return m.lines
     return {k: _bitmask(line) for k, line in m.lines.items()}
-
-
-def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    out: list[int] = []
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        x, y = a[ia], b[ib]
-        if x < y:
-            out.append(x)
-            ia += 1
-        elif x > y:
-            out.append(y)
-            ib += 1
-        else:
-            out.append(x)
-            ia += 1
-            ib += 1
-    if ia < la:
-        out.extend(a[ia:])
-    if ib < lb:
-        out.extend(b[ib:])
-    return out
 
 
 class Accumulator:
@@ -585,9 +554,10 @@ def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
         al, bl = _bit_lines(a), _bit_lines(b)
         out = {k: al.get(k, 0) | bl.get(k, 0) for k in al.keys() | bl.keys()}
         return BoolMat(a.rows, a.cols, a.layout, out, True)
-    out: dict[int, list[int]] = {}
-    for k in a.lines.keys() | b.lines.keys():
-        out[k] = _merge_sorted(a.lines.get(k, []), b.lines.get(k, []))
+    out = {k: line[:] for k, line in a.lines.items()}
+    for k, line in b.lines.items():
+        have = out.get(k)
+        out[k] = line[:] if have is None else _line({*have, *line})
     return BoolMat(a.rows, a.cols, a.layout, out)
 
 

@@ -134,6 +134,16 @@ class TestSolveCommand:
         assert main(argv + ["--report", str(tmp_path / "r.txt")]) == EXIT_OK
         assert read(out) == "n10 n11\nn9 n8\n"
 
+    def test_digit_names_int_cannot_parse_sort_by_name(self, tmp_path):
+        """``'²'.isdigit()`` holds but ``int('²')`` raises, so only decimal
+        names are sorted as numbers."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("² a 5\n5 b 7\n10 a 11\n11 b 9\n", encoding="utf-8")
+        out = tmp_path / "pairs.txt"
+        argv = ["solve", "--graph", str(graph), "--preset", "dyck", "--output", str(out)]
+        assert main(argv + ["--report", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == "10 9\n² 7\n"
+
     def test_missing_grammar(self, dyck_path_graph):
         rc = main(["solve", "--graph", str(dyck_path_graph), "--variant", "ma"])
         assert rc == EXIT_INPUT

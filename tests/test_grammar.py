@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pickle
 import random
@@ -42,7 +41,7 @@ class TestSymbol:
 
     def test_replace_and_pickle_rehash(self):
         a = Symbol("terminal", "call", "f1")
-        b = dataclasses.replace(a, index="f2")
+        b = a._replace(index="f2")
         assert b == Symbol("terminal", "call", "f2") != a
         assert hash(b) == hash(Symbol("terminal", "call", "f2"))
         assert {b: 1}[Symbol("terminal", "call", "f2")] == 1

@@ -371,8 +371,9 @@ class TestMergeInto:
     @pytest.mark.parametrize("d_bits", [False, True])
     def test_stored_lines_have_no_spare_slot(self, d_bits):
         """A line that merge_into puts into a list-form matrix, and every
-        line of a copy, is a list of exactly its length: a stored line
-        keeps any spare slot for the rest of the solve."""
+        line of a copy or of a list-form union, is a list of exactly its
+        length: a stored line keeps any spare slot for the rest of the
+        solve."""
         empty, slot = sys.getsizeof([]), sys.getsizeof([None]) - sys.getsizeof([])
 
         def exact(line):
@@ -384,6 +385,9 @@ class TestMergeInto:
         )
         m = BoolMat(8, 8, ROW, {3: list([0, 6]), 4: list([1])})
         assert not all(map(exact, m.lines.values()))
+        # lines 0-2 only in d, 4 only in m, 3 in both
+        u = union(m, d)
+        assert u.nnz == 13 and all(map(exact, u.lines.values()))
         merge_into(d.in_form(d_bits), m)
         assert m.nnz == 13 and all(exact(m.lines[key]) for key in d.lines)
         assert all(map(exact, m.copy().lines.values()))
