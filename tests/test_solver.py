@@ -469,6 +469,44 @@ class TestSolve:
             most[n] = [max(w[side] for w in walked[1:]) for side in (0, 1)]
         assert most[64] == most[256] == most[1024] == [1, 1], most
 
+    @pytest.mark.parametrize("variant", ["ma1", "ma14"])
+    def test_row_by_row_lookups_flat_in_chain_length(self, monkeypatch, variant):
+        """Without dual_format, M_old * delta runs row by row, driven by M,
+        and skips every row of M that misses the delta before walking it:
+        on a dyck chain the lookups into an operand's lines per iteration
+        do not grow with the chain, although M does."""
+        g = ensure_wcnf(preset("dyck"))
+        spgemm = cflr.sparse.spgemm
+        looked: list[int] = []  # per iteration
+
+        class Counted(dict):
+            def get(self, *args):
+                looked[-1] += 1
+                return dict.get(self, *args)
+
+        def counted(m):
+            c = BoolMat(m.rows, m.cols, m.layout, Counted(m.lines), m.bits)
+            # the int copy a list-form operand gives a bit-form driver
+            c._ints = Counted(m.int_lines())
+            return c
+
+        def counting_spgemm(a, b, *args, **kwargs):
+            return spgemm(counted(a), counted(b), *args, **kwargs)
+
+        monkeypatch.setattr(cflr.sparse, "spgemm", counting_spgemm)
+        most = {}
+        for n in (64, 256, 1024):
+            looked.clear()
+            r = solve(
+                chain_graph(n), g, VariantFlags.named(variant),
+                iteration_hook=lambda *_: looked.append(0),
+            )
+            assert r.iterations == len(looked) == n
+            # iteration 1 multiplies by the seeds, the chain's n edges
+            assert looked[0] <= 2 * n
+            most[n] = max(looked[1:])
+        assert most[64] == most[256] == most[1024], most
+
     def test_deadline_raises(self):
         g = ensure_wcnf(preset("dyck"))
         graph = chain_graph(512)

@@ -907,3 +907,86 @@ class TestBitForm:
         ]
         for inputs, r in results:
             assert all(r.lines is not x.lines for x in inputs), (inputs, r)
+
+
+class CountingLines(dict):
+    """A lines dict that counts the ``get`` calls made on it."""
+
+    def __init__(self, lines):
+        super().__init__(lines)
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+class PutRecorder(Accumulator):
+    """An accumulator that keeps every row put into it, as it was put."""
+
+    __slots__ = ("puts",)
+
+    def __init__(self, rows, cols, bits=False):
+        super().__init__(rows, cols, bits)
+        self.puts = []
+
+    def sink(self, rows, cols, bits=False):
+        put = super().sink(rows, cols, bits)
+
+        def recorded(i, row):
+            self.puts.append(row)
+            put(i, row)
+
+        return recorded
+
+
+class TestDriverRowSkip:
+    """A list-form driver row that shares no key with the other operand's
+    lines is skipped before it is walked: the product, its counts and the
+    rows put are those of a loop that walks every row, and the other
+    operand is only looked up for the rows that meet it."""
+
+    @pytest.mark.parametrize("other_bits", FORMS)
+    @pytest.mark.parametrize("acc_bits", FORMS)
+    @pytest.mark.parametrize("vertical", [False, True], ids=["plain", "vertical"])
+    def test_only_rows_that_meet_the_other_operand_are_walked(
+        self, other_bits, acc_bits, vertical
+    ):
+        rng = random.Random(20)
+        skipped = 0
+        for _ in range(40):
+            n, k = rng.randint(1, 9), rng.randint(1, 3)
+            rows = k * n if vertical else n
+            a = random_boolmat(rng, rows, n, rng.random() * 0.5)
+            # the other operand keeps only some of its rows, so driver rows miss
+            kept = set(rng.sample(range(n), rng.randint(0, n)))
+            b = random_boolmat(rng, n, n, rng.random() * 0.7)
+            b = BoolMat(n, n, ROW, {i: line for i, line in b.lines.items() if i in kept})
+            b = b.in_form(other_bits)
+            b.lines = CountingLines(b.lines)
+            # what a walk of every driver row finds
+            want_rows, want_sops = {}, 0
+            blist = b.in_form(False).lines
+            for i, dline in a.lines.items():
+                hits = [blist[j] for j in dline if j in blist]
+                want_sops += sum(map(len, hits))
+                if hits:
+                    want_rows[i] = set().union(*hits)
+            if vertical:
+                want = {(i % n, i - i % n + j) for i, js in want_rows.items() for j in js}
+            else:
+                want = {(i, j) for i, js in want_rows.items() for j in js}
+            meeting = [dline for dline in a.lines.values() if any(j in blist for j in dline)]
+            skipped += len(a.lines) - len(meeting)
+
+            acc = PutRecorder(n, k * n if vertical else n, acc_bits)
+            c = OpCounter()
+            assert spgemm(a, b, c, into=acc) is None
+            assert all(acc.puts) and len(acc.puts) == len(want_rows)
+            got = masked(acc, (), c)
+            assert got.entry_set() == want
+            assert (c.spgemm_calls, c.scalar_ops) == (1, want_sops)
+            # every entry put is received once
+            assert c.union_entries == sum(map(len, want_rows.values()))
+            assert b.lines.gets <= sum(map(len, meeting))
+        assert skipped  # some driver rows did miss
