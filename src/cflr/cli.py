@@ -89,7 +89,7 @@ def _bad_usage(args) -> str | None:
 
 
 def _peak_memory_bytes() -> int:
-    """Best-effort OS high-water mark of this process."""
+    """Best-effort OS high-water mark of this process so far."""
     if resource is None:
         return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -175,6 +175,7 @@ def _report_record(
     graph_id: str,
     result,
     wall_seconds: float,
+    peak_mem_bytes: int,
     extra: list[str] | None = None,
 ) -> str:
     counts = _pair_counts(result)
@@ -184,7 +185,7 @@ def _report_record(
         f"graph={graph_id}",
         f"iterations={result.iterations}",
         f"wall_seconds={wall_seconds:.6f}",
-        f"peak_mem_bytes={_peak_memory_bytes()}",
+        f"peak_mem_bytes={peak_mem_bytes}",
         f"spgemm_calls={result.counters.spgemm_calls}",
         f"scalar_ops={result.counters.scalar_ops}",
         f"union_entries={result.counters.union_entries}",
@@ -248,9 +249,11 @@ def _cmd_solve(args, files: ExitStack) -> int:
     t0 = time.perf_counter()
     result = solve(graph, g, flags, deadline=deadline)
     wall = time.perf_counter() - t0
+    # read before the pairs and their counts are built
+    peak = _peak_memory_bytes()
 
     _write(out, _format_pairs(graph, result.matrices.pairs(sym)))
-    _write(rep, _report_record(args.variant, grammar_id, graph_id, result, wall))
+    _write(rep, _report_record(args.variant, grammar_id, graph_id, result, wall, peak))
     return EXIT_OK
 
 
@@ -322,6 +325,8 @@ def _cmd_bench(args, files: ExitStack) -> int:
                 f"status=oot\ntimeout_secs={args.timeout_secs}\n"
             )
             continue
+        # read before the report counts the pairs
+        peak = _peak_memory_bytes()
         mean = statistics.fmean(walls)
         std = f"{statistics.stdev(walls):.6f}" if len(walls) > 1 else "n/a"
         extra = [
@@ -331,7 +336,7 @@ def _cmd_bench(args, files: ExitStack) -> int:
             f"std_seconds={std}",
         ]
         records.append(
-            _report_record(variant, grammar_id, graph_id, result, mean, extra)
+            _report_record(variant, grammar_id, graph_id, result, mean, peak, extra)
         )
     _write(rep, "\n".join(records))
     return EXIT_TIMEOUT if timed_out else EXIT_OK

@@ -14,10 +14,13 @@ through the delta's column view, as an outer product, whichever its
 operands' sizes favour (see ``gather``); ``dual_format`` turns M_old *
 delta into an outer product.  Without it M_old * delta runs row by row,
 driven by M, and ``sparse.spgemm`` skips each row of M that shares no
-key with the delta's lines by one C-level test, so only the rows that
-meet the delta are walked: on ``dyck-deep`` under ``ma1`` the list-form
-rows a solve's products drive number 148,223, and 767 of them meet the
-other operand.
+key with the delta's lines by one C-level test.
+
+Each stored symbol's slot, its place in the rule plan's ``stored`` table,
+indexes the lists of stores, deltas and accumulators, and every step is
+resolved once, before the loop, into records of slots, store keys and
+transforms (``_Operand``).  An unkept left copy is read through its
+record's pre-built empty stand-in, so the product is still formed and counted.
 
 All variants compute the same relation: entry (i, j) in symbol x's matrix
 iff some i -> j path spells a word derivable from x.
@@ -28,9 +31,10 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sparse
-from .grammar import Symbol, WcnfGrammar, expand_indexed
+from .grammar import WcnfGrammar, expand_indexed
 from .graph import LabeledGraph
 from .semiring import (
     HBLOCK,
@@ -212,12 +216,12 @@ class _DeltaView:
             store.canonical: mat.in_form(store.canonical in store.bit_keys)
         }
 
-    def copy(self, repr_: str, layout: str) -> BoolMat:
-        key = (repr_, layout)
+    def copy(self, key: _StoreKey) -> BoolMat:
         m = self._cache.get(key)
         if m is None:
             st = self.store
             m = self.mat
+            repr_, layout = key
             if repr_ != st.canonical[0]:
                 if (st.canonical[0], repr_) != (HBLOCK, VBLOCK):
                     raise ValueError(f"cannot derive {repr_} from {st.canonical[0]}")
@@ -272,15 +276,10 @@ class _Store:
             self.pending.append(((repr_, layout), sys.getsizeof((1 << width) - 1) - _LIST_BYTES))
 
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
-        # a loop, not a comprehension: CPython 3.11 makes a function call
-        # for each comprehension, and this runs for every stored operand
-        out = []
-        for el in self.bundles:
-            out.append(el.copies[key])
-        return out
+        return [el.copies[key] for el in self.bundles]
 
     def insert(self, dview: _DeltaView, counter: OpCounter | None) -> None:
-        db = _Bundle({key: dview.copy(*key) for key in self.keys}, owned=False)
+        db = _Bundle({key: dview.copy(key) for key in self.keys}, owned=False)
         if self.forest is None:
             self.bundles[0].merge(db, counter)
         else:
@@ -319,6 +318,19 @@ class _Store:
 # the solver
 
 
+class _Operand(NamedTuple):
+    """A step's operand, resolved before the loop: its symbol's slot, read
+    from the delta or the store, the store key read and whether the store
+    keeps it, the step's transform, and that key's empty matrix, transformed."""
+
+    slot: int
+    delta: bool
+    key: _StoreKey
+    kept: bool
+    transform: str | None
+    empty: BoolMat
+
+
 @dataclass
 class SolveResult:
     matrices: NontermMatrix
@@ -343,111 +355,104 @@ def solve(
 
     ``g`` must already be in the accepted normal form.  Without
     ``flags.indexed_blocks`` an indexed grammar is first expanded against
-    the graph's index universe.  ``iteration_hook(iteration, m_old, delta,
-    m)`` is called at the top of every iteration of every variant with
-    materialized snapshots: ``delta`` is disjoint from ``m_old`` and ``m``
-    is their union.  ``deadline`` is a ``time.monotonic()`` instant after
-    which :class:`SolveTimeout` is raised: it is checked at the top of
-    every iteration, before each product, each store insert, each
-    unit-rule step and each symbol's mask.
+    the graph's index universe.  Every rule step is resolved once, before
+    the loop, into records of :class:`_Operand` slots, keys and transforms;
+    an unkept left copy is read through its record's pre-built empty
+    stand-in, so the product is still formed and counted.
+    ``iteration_hook(iteration, m_old, delta, m)`` is called at the top of
+    every iteration of every variant with materialized snapshots: ``delta``
+    is disjoint from ``m_old`` and ``m`` is their union.  ``deadline`` is a
+    ``time.monotonic()`` instant after which :class:`SolveTimeout` is
+    raised: it is checked at the top of every iteration, before each
+    product, each store insert, each unit-rule step and each symbol's mask.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
-    if g.is_indexed and not flags.indexed_blocks:
-        g_run = expand_indexed(g, graph.index_universe)
-    else:
-        g_run = g
+    expand = g.is_indexed and not flags.indexed_blocks
+    g_run = expand_indexed(g, graph.index_universe) if expand else g
     use_blocks = flags.indexed_blocks and g_run.is_indexed
-
     n = graph.vertex_count
     universe = tuple(graph.index_universe) if use_blocks else ()
     k = len(universe)
     plan = build_rule_plan(g_run, use_blocks)
-
     results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
-    # which (representation, layout) copies each symbol's store must keep.
-    # Every symbol keeps its row-major canonical copy: its seeds, deltas,
-    # accumulator and mask are in that key.  Under dual_format M_old *
-    # delta reads M's column-major copy, which only a right operand that
-    # some step produces can make non-empty: any other has a delta only in
-    # the first iteration, when M_old is empty
-    needs: dict[Symbol, set[_StoreKey]] = {s: {(r, ROW)} for s, r in plan.stored.items()}
-    for st in plan.bin_steps:
-        if not flags.dual_format:
-            needs[st.left[0]].add((st.left[1], ROW))
-        elif st.right[0] in results:
-            needs[st.left[0]].add((st.left[1], COL))
-        needs[st.right[0]].add((st.right[1], ROW))
-    for ust in plan.unit_steps:
-        needs[ust.source[0]].add((ust.source[1], ROW))
+    slot = {s: i for i, s in enumerate(plan.stored)}
 
+    def operand(mk, layout: str, transform: str | None, delta: bool, kept=True) -> _Operand:
+        empty = BoolMat.empty(*matrix_dims(mk[1], n, k), layout=layout)
+        if transform is not None:
+            empty = _apply_transform(empty, transform, n, k)
+        return _Operand(slot[mk[0]], delta, (mk[1], layout), kept, transform, empty)
+
+    # (result, left, right) for M_old * delta and for delta * M_new (baseline
+    # M * M), (result, source) for a unit rule.  M_old's column copy is kept
+    # only for a right operand that some step produces: any other has a
+    # delta only in the first iteration, when M_old is empty
+    old_steps = [
+        (slot[st.result[0]], operand(st.left, COL if flags.dual_format else ROW, st.left_transform,
+                                     False, not flags.dual_format or st.right[0] in results),
+         operand(st.right, ROW, st.right_transform, True))
+        for st in plan.bin_steps
+    ]
+    new_steps = [
+        (slot[st.result[0]], operand(st.left, ROW, st.left_transform, flags.delta),
+         operand(st.right, ROW, st.right_transform, False))
+        for st in plan.bin_steps
+    ]
+    unit_steps = [(slot[u.result[0]], operand(u.source, ROW, u.transform, flags.delta))
+                  for u in plan.unit_steps]
+    # each store keeps its row-major canonical copy, where its seeds,
+    # deltas, accumulator and mask are, and every kept copy a step reads
+    needs = [{(r, ROW)} for r in plan.stored.values()]
+    for _, *ops in old_steps + new_steps + unit_steps:
+        for op in ops:
+            if op.kept and not op.delta:
+                needs[op.slot].add(op.key)
+    stores = [_Store(s, sorted(needs[i]), (r, ROW), n, k, flags.lazy_union)
+              for i, (s, r) in enumerate(plan.stored.items())]
+    max_iterations = sum(st.dims[0] * st.dims[1] for st in stores) + 2
     counter = OpCounter()
-    stores = {
-        s: _Store(s, sorted(needs[s]), (r, ROW), n, k, flags.lazy_union)
-        for s, r in plan.stored.items()
-    }
-    max_iterations = sum(st.dims[0] * st.dims[1] for st in stores.values()) + 2
-
     monotonic = time.monotonic
 
     def check_deadline():
         if deadline is not None and monotonic() > deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
-    # every variant, the baseline too, starts from the seeds as its delta;
-    # they are row-major, in each symbol's canonical representation.  The
-    # seed collection is not kept: each seed lives only as long as its
-    # delta, or as a forest piece
-    deltas: dict[Symbol, _DeltaView] = {
-        s: _DeltaView(m, stores[s])
-        for (s, _), m in initial_matrix(graph, g_run, use_blocks).mats.items()
-    }
-    # one empty operand per key, for symbols without a delta and for left
-    # copies that are not kept: only read
-    empties: dict[_StoreKey, BoolMat] = {}
+    # every variant starts from the seeds as its delta, row-major, in each
+    # symbol's canonical representation.  The seed collection is not kept:
+    # each seed lives only as long as its delta, or as a forest piece
+    seeds = {s: m for (s, _), m in initial_matrix(graph, g_run, use_blocks).mats.items()}
+    deltas = [_DeltaView(seeds[st.sym], st) if st.sym in seeds else None for st in stores]
+    del seeds
 
-    def empty(repr_: str, layout: str) -> BoolMat:
-        if (repr_, layout) not in empties:
-            empties[repr_, layout] = BoolMat.empty(*matrix_dims(repr_, n, k), layout=layout)
-        return empties[repr_, layout]
+    def read(op: _Operand) -> list[BoolMat]:
+        """Its delta or each piece of its store, or the empty stand-in for a
+        missing delta or an unkept copy, so products are still formed and counted."""
+        i, delta, key, kept, transform, empty = op
+        if delta:
+            if deltas[i] is None:
+                return [empty]
+            ms = [deltas[i].copy(key)]
+        elif not kept:
+            return [empty] * len(stores[i].bundles)
+        else:
+            ms = []
+            for el in stores[i].bundles:
+                ms.append(el.copies[key])
+        return ms if transform is None else [_apply_transform(m, transform, n, k) for m in ms]
 
-    def stored(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
-        store = stores[sym]
-        if (repr_, layout) in store.keys:
-            return store.pieces((repr_, layout))
-        # a left copy that is not kept (see needs): one empty stand-in per
-        # piece, so the products are still formed and counted
-        return [empty(repr_, layout)] * len(store.bundles)
-
-    def delta_side(sym: Symbol, repr_: str, layout: str) -> list[BoolMat]:
-        dv = deltas.get(sym)
-        return [empty(repr_, layout) if dv is None else dv.copy(repr_, layout)]
-
-    def gather(accs, lefts, rights, left_layout: str) -> None:
-        """Multiply every binary step's operands, ``lefts``/``rights`` of
-        (symbol, repr, layout), into its result symbol's accumulator.  The
-        right operands are row-major; column-major left operands make
-        outer products.
-
-        A delta on the left (delta * M_new) picks each product's direction
-        from its operands.  Pulled, row by row, the product tests every
-        line of the delta against the right operand's keys, one C-level
-        call each, and walks the lines that meet it; pushed, through the
-        delta's column view, it visits each line of the right operand and
-        scatters its entries.  So a delta in list form pushes when it has
-        more lines than the right operand has lines and entries together,
-        and pulls otherwise, as a bit-form delta always does: its rows
-        skip the misses with one AND each.  The column view is made once
-        per delta and pass, and only for a product with entries on both
-        sides, so its cost is shared by the products that push through
-        it.  Both directions form, count and put the same rows."""
-        for st in plan.bin_steps:
-            acc = accs[st.result[0]]
-            ras = [_apply_transform(m, st.right_transform, n, k) for m in rights(*st.right, ROW)]
-            for lm in lefts(*st.left, left_layout):
-                la = _apply_transform(lm, st.left_transform, n, k)
+    def gather(steps) -> None:
+        """Multiply every binary step's operands into its result's accumulator.
+        A list-form delta on the left (delta * M_new) pushes through its column
+        view, made once per delta and pass, when it has more lines than the right
+        operand has lines and entries together; otherwise, and always in bit
+        form, it pulls row by row.  Both directions form, count and put the same rows."""
+        for res, left, right in steps:
+            acc = accs[res]
+            ras = read(right)
+            for la in read(left):
                 # the lines a list-form delta would pull; 0 never pushes
-                lines = len(la.lines) if lefts is delta_side and not la.bits else 0
+                lines = len(la.lines) if left.delta and not la.bits else 0
                 pushed = None
                 for ra in ras:
                     # check_deadline(), inlined: it runs before every product
@@ -455,65 +460,60 @@ def solve(
                         raise SolveTimeout("solve exceeded its deadline")
                     if lines and ra.nnz and lines > len(ra.lines) + ra.nnz:
                         if pushed is None:
-                            cols = deltas[st.left[0]].copy(st.left[1], COL)
-                            pushed = _apply_transform(cols, st.left_transform, n, k)
+                            pushed = read(left._replace(key=(left.key[0], COL)))[0]
                         sparse.spgemm(pushed, ra, counter, into=acc)
                     else:
                         sparse.spgemm(la, ra, counter, into=acc)
 
+    def pour() -> None:
+        for res, source in unit_steps:
+            for piece in read(source):
+                check_deadline()
+                accs[res].add(piece)
+
+    def next_delta(store: _Store, acc: Accumulator) -> _DeltaView | None:
+        """What survives the mask of the stored matrix."""
+        check_deadline()
+        fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
+        return _DeltaView(fresh, store) if fresh.nnz else None
+
     def materialized_view(snapshot: bool = False) -> NontermMatrix:
         """Every symbol's matrix, row-major.  These may share lines with
         the stores, which change in place, so a ``snapshot`` copies them."""
-        mats = {}
-        for s, store in stores.items():
-            m = store.materialized()
-            mats[(s, store.canonical[0])] = m.copy() if snapshot else m
-        return NontermMatrix(n, universe, mats)
+        return NontermMatrix(n, universe, {
+            (st.sym, st.canonical[0]): st.materialized().copy() if snapshot else st.materialized()
+            for st in stores
+        })
 
-    # the delta variants multiply by the delta, the baseline by all of M
-    new_side = delta_side if flags.delta else stored
     iterations = 0
-    while deltas:
+    while any(deltas):
         check_deadline()
         iterations += 1
         if iterations > max_iterations:
             raise RuntimeError("fixpoint failed to converge (bug)")
         if iteration_hook is not None:
             delta_nm = NontermMatrix(n, universe, {
-                (s, dv.store.canonical[0]): dv.copy(*dv.store.canonical) for s, dv in deltas.items()
+                (dv.store.sym, dv.store.canonical[0]): dv.copy(dv.store.canonical)
+                for dv in deltas if dv is not None
             })
             m_old_nm = materialized_view(snapshot=True)
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
-        accs = {s: st.accumulator() for s, st in stores.items() if s in results}
+        accs = [st.accumulator() if st.sym in results else None for st in stores]
         if flags.delta:
             # M_old * delta, against the stores before the insert; under
             # dual_format the delta's rows drive it through M's columns
-            gather(accs, stored, delta_side, COL if flags.dual_format else ROW)
-        for s, dv in deltas.items():
-            check_deadline()
-            stores[s].insert(dv, counter)
+            gather(old_steps)
+        # by slot, so that no name outlives the loop holding a delta
+        for i in range(len(stores)):
+            if deltas[i] is not None:
+                check_deadline()
+                stores[i].insert(deltas[i], counter)
         # delta * M_new (baseline: M * M), then the unit rules
-        gather(accs, new_side, stored, ROW)
-        for ust in plan.unit_steps:
-            for piece in new_side(*ust.source, ROW):
-                check_deadline()
-                accs[ust.result[0]].add(_apply_transform(piece, ust.transform, n, k))
+        gather(new_steps)
+        pour()
+        # the next deltas; this pass's go first
+        deltas.clear()
+        deltas = [next_delta(st, acc) if acc else None for st, acc in zip(stores, accs)]
 
-        # what survives the mask of the stored matrix is the next delta
-        deltas = {}
-        for s, acc in accs.items():
-            if acc:
-                check_deadline()
-                store = stores[s]
-                fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
-                if fresh.nnz:
-                    deltas[s] = _DeltaView(fresh, store)
-
-    return SolveResult(
-        matrices=materialized_view(),
-        counters=counter,
-        iterations=iterations,
-        flags=flags,
-        grammar=g_run,
-    )
+    return SolveResult(materialized_view(), counter, iterations, flags, g_run)

@@ -18,6 +18,7 @@ from cflr.cli import (
 )
 from cflr.grammar import ensure_wcnf, preset
 from cflr.graph import load_graph
+from cflr.semiring import NontermMatrix
 from cflr.solver import VariantFlags, solve
 
 
@@ -547,6 +548,37 @@ class TestBenchCommand:
         assert rc == EXIT_OK
         rec = {r["variant"]: r for r in self._records(read(rep))}
         assert int(rec["ma"]["scalar_ops"]) > int(rec["ma1"]["scalar_ops"])
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_path, command):
+    """``peak_mem_bytes`` is read right after the solve, before the report
+    builds the pairs and the triple set it counts them from, so the figure
+    does not grow with the result's triple count."""
+    events = []
+    to_triples, pairs = NontermMatrix.to_triples, NontermMatrix.pairs
+
+    def logged(name, method):
+        def call(*args):
+            events.append(name)
+            return method(*args)
+
+        return call
+
+    monkeypatch.setattr(cflr.cli, "_peak_memory_bytes", logged("peak", lambda: 4321))
+    monkeypatch.setattr(NontermMatrix, "to_triples", logged("triples", to_triples))
+    monkeypatch.setattr(NontermMatrix, "pairs", logged("pairs", pairs))
+    rep = tmp_path / "report.txt"
+    argv = [command, "--graph", "chain(8)", "--report", str(rep)]
+    if command == "solve":
+        argv += ["--output", str(tmp_path / "pairs.txt")]
+        want, records = ["peak", "pairs", "triples"], 1
+    else:
+        argv += ["--variants", "ma1,ma14", "--reps", "2"]
+        want, records = ["peak", "triples"] * 2, 2
+    assert main(argv) == EXIT_OK
+    assert events == want
+    assert read(rep).count("peak_mem_bytes=4321\n") == records
 
 
 def _readme_command_line() -> str:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import weakref
@@ -314,6 +315,37 @@ class TestSolve:
         assert len(seeds) == 1 and r.iterations >= 2
         assert not any(alive[it] for it in range(2, r.iterations + 1))
 
+    @pytest.mark.parametrize("variant", ["ma", "ma1", "ma14"])
+    @pytest.mark.parametrize("preset_name", ["dyck", "cscvf-wcnf"])
+    def test_each_seed_matrix_is_freed_by_iteration_two(self, monkeypatch, variant, preset_name):
+        """Without lazy union each seed is merged into its store, so once
+        the first deltas are inserted no seed matrix is alive: no delta of
+        a past pass, and no name the loop left bound, holds one.  (Under
+        lazy union a seed is kept as a forest piece.)"""
+
+        class _Tracked(BoolMat):
+            __slots__ = ("__weakref__",)
+
+        g = ensure_wcnf(preset(preset_name))
+        graph = random_instance(g, random.Random(26), max_vertices=12, max_edges=40, max_indices=3)
+        seeds = []
+
+        def recording(*args, **kwargs):
+            nm = initial_matrix(*args, **kwargs)
+            tracked = {
+                key: _Tracked(m.rows, m.cols, m.layout, m.lines, m.bits)
+                for key, m in nm.mats.items()
+            }
+            seeds.extend(weakref.ref(m) for m in tracked.values())
+            return type(nm)(nm.size, nm.universe, tracked)
+
+        alive = {}
+        hook = lambda it, *_: alive.setdefault(it, [s() is not None for s in seeds])  # noqa: E731
+        monkeypatch.setattr(cflr.solver, "initial_matrix", recording)
+        r = solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
+        assert seeds and r.iterations >= 2 and all(alive[1])
+        assert not any(any(alive[it]) for it in range(2, r.iterations + 1))
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_every_variant_runs_the_delta_skeleton(self, variant):
         """Each iteration of every variant, the baseline included, starts
@@ -570,3 +602,83 @@ class TestSolve:
         assert not r_plain.grammar.is_indexed  # expanded
         r_block = solve(graph, g, VariantFlags.named("ma14"))
         assert r_block.grammar.is_indexed
+
+
+# every valid combination of the four flags: the baseline with and without
+# indexed blocks, and delta with each subset of the other three
+FLAG_COMBINATIONS = [VariantFlags(indexed_blocks=b) for b in (False, True)] + [
+    VariantFlags(delta=True, dual_format=d, lazy_union=z, indexed_blocks=b)
+    for d in (False, True)
+    for z in (False, True)
+    for b in (False, True)
+]
+
+
+def test_the_flag_combinations_are_every_valid_one():
+    valid = set()
+    for values in itertools.product((False, True), repeat=4):
+        try:
+            valid.add(VariantFlags(*values))
+        except ValueError:
+            pass
+    assert len(FLAG_COMBINATIONS) == len(set(FLAG_COMBINATIONS)) == 10
+    assert set(FLAG_COMBINATIONS) == valid
+    assert {VariantFlags.named(v) for v in VARIANT_NAMES} < valid
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_flag_combination_agrees_with_the_oracle(name):
+    """Each combination reads its operands differently: column copies that
+    are not kept, forests of several pieces, block transforms."""
+    g = ensure_wcnf(preset(name))
+    rng = random.Random(40 + PRESET_NAMES.index(name))
+    for _ in range(4):
+        n = rng.randint(8, 16)
+        graph = load_graph(sized_graph_text(g, rng, n, 3 * n, rng.randint(1, 3)), g)
+        want = oracle_solve(graph, g)
+        for flags in FLAG_COMBINATIONS:
+            assert solve(graph, g, flags).triples() == want, flags
+
+
+# S -> A_[i] b collapses its left operand, S -> b A_[i] its right one,
+# S -> A_[i] is a collapsing unit rule and A_[i] -> A_[i] B_[i] puts its
+# left operand on the block diagonal
+TRANSFORMS = parse_grammar(
+    "start: S\nS -> A_[i] b | b A_[i] | A_[i] | S S\n"
+    "A_[i] -> A_[i] B_[i] | c_[i]\nB_[i] -> d_[i] | B_[i] e\n"
+)
+
+
+def test_operand_transforms_are_applied_only_where_a_step_has_one(monkeypatch):
+    """Operands without a transform are read as they are: the dyck chain,
+    whose steps have none, makes no transform call under any variant.  The
+    diag and collapse steps of an indexed grammar still agree with the
+    oracle under ma14 and ma1234, which keep the families in blocks."""
+    applied = []
+    original = cflr.solver._apply_transform
+
+    def counting(m, transform, n, k):
+        applied.append(transform)
+        return original(m, transform, n, k)
+
+    monkeypatch.setattr(cflr.solver, "_apply_transform", counting)
+    dyck = ensure_wcnf(preset("dyck"))
+    graph = chain_graph(32)
+    want = oracle_solve(graph, dyck)
+    for v in VARIANT_NAMES:
+        assert solve(graph, dyck, VariantFlags.named(v)).triples() == want, v
+    assert applied == []
+
+    g = ensure_wcnf(TRANSFORMS)
+    plan = build_rule_plan(g, indexed_blocks=True)
+    assert {st.left_transform for st in plan.bin_steps} >= {"diag", "collapse"}
+    assert "collapse" in {st.right_transform for st in plan.bin_steps}
+    assert "collapse" in {u.transform for u in plan.unit_steps}
+    rng = random.Random(41)
+    for _ in range(12):
+        n = rng.randint(2, 16)
+        graph = load_graph(sized_graph_text(g, rng, n, rng.randint(n, 4 * n), rng.randint(1, 3)), g)
+        want = oracle_solve(graph, g)
+        for v in ("ma14", "ma1234"):
+            assert solve(graph, g, VariantFlags.named(v)).triples() == want, v
+    assert {"diag", "collapse"} <= set(applied)
