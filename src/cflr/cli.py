@@ -11,7 +11,6 @@ import re
 import statistics
 import sys
 import time
-from collections import Counter
 from contextlib import ExitStack
 from itertools import chain
 
@@ -164,11 +163,6 @@ def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
     return "".join(f"{a} {b}\n" for a, b in rows)
 
 
-def _pair_counts(result) -> dict[str, int]:
-    counts = Counter(sym.name() for sym, _, _ in result.triples())
-    return dict(sorted(counts.items()))
-
-
 def _report_record(
     variant: str,
     grammar_id: str,
@@ -178,7 +172,7 @@ def _report_record(
     peak_mem_bytes: int,
     extra: list[str] | None = None,
 ) -> str:
-    counts = _pair_counts(result)
+    counts = result.matrices.pair_counts()
     lines = [
         f"variant={variant}",
         f"grammar={grammar_id}",

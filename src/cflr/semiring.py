@@ -21,6 +21,7 @@ productions at once.  Seven shapes cover every accepted binary rule:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -214,6 +215,23 @@ class NontermMatrix:
                     t, jj = divmod(j, n)
                     out.add((Symbol(sym.kind, sym.base, self.universe[t]), i, jj))
         return frozenset(out)
+
+    def pair_counts(self) -> dict[str, int]:
+        """The number of (source, target) pairs of each nonterminal that
+        has any, by name, as counted over :meth:`to_triples`, read from the
+        matrices without building a triple: a plain symbol's nnz, and each
+        family member's entries in its tag's slot of the block row."""
+        counts: Counter[str] = Counter()
+        for (sym, repr_), m in self.mats.items():
+            if sym.kind != NONTERMINAL:
+                continue
+            if repr_ == PLAIN:
+                counts[sym.name()] += m.nnz
+            elif repr_ == HBLOCK:
+                slots = sparse.block_nnz(m, self.size, self.k)
+                for tag, c in zip(self.universe, slots):
+                    counts[Symbol(sym.kind, sym.base, tag).name()] += c
+        return dict(sorted((+counts).items()))
 
     def union(self, other: "NontermMatrix", counter: OpCounter | None = None) -> "NontermMatrix":
         if (self.size, self.universe) != (other.size, other.universe):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -344,7 +344,10 @@ def spgemm(
     148,223, of which 767 meet the other operand.  Each product row is
     the OR (bit form) or set union (list form) of the rows of b it hits
     and is put once, so both directions count the same ``scalar_ops`` and
-    put the same entries, and a skipped row puts nothing.
+    put the same entries, and a skipped row puts nothing.  A bit-form
+    driver's rows that hit the same rows of b share one product row,
+    formed for the first of them: each distinct hit mask is walked once
+    per call, and every row still counts its own scalar ops.
 
     With ``into`` the product's rows are added to that accumulator, moved
     to its shape as :meth:`Accumulator.sink` says, and nothing is
@@ -447,23 +450,29 @@ def _bit_driver_product(driver: BoolMat, other: BoolMat, put, ints: bool) -> int
     each put once: with ``ints`` an OR of the other operand's lines as
     ints, else a set union of its lists.  Each driving row is first ANDed
     with the other's key mask, so only its hits are looked up, and every
-    hit finds a line.  Returns the scalar ops."""
+    hit finds a line.  A product row depends only on that hit mask, so a
+    mask is walked and looked up the first time it comes up in the call,
+    and every later row with that mask puts the same row and counts the
+    same scalar ops.  On ``alias-dense`` ``ma1`` (seed 1) these products
+    hit 22,122 rows, of which 8,762 have a mask new to their call.
+    Returns the scalar ops."""
     sops = 0
     oget = (other.int_lines() if ints else other.lines).get
     okeys = other.key_mask()
-    hit_lines = (
-        (i, list(map(oget, _positions(h))))
-        for i, x in driver.lines.items()
-        if (h := x & okeys)
-    )
     if ints:
-        for i, ols in hit_lines:
-            put(i, reduce(or_, ols))
-            sops += sum(map(int.bit_count, ols))
+        join, size = partial(reduce, or_), int.bit_count
     else:
-        for i, ols in hit_lines:
-            put(i, set().union(*ols))
-            sops += sum(map(len, ols))
+        join, size = (lambda ols: set().union(*ols)), len
+    # a sink copies a row it is given as positions, so one set serves many
+    done: dict[int, tuple] = {}
+    for i, x in driver.lines.items():
+        if h := x & okeys:
+            got = done.get(h)
+            if got is None:
+                ols = list(map(oget, _positions(h)))
+                got = done[h] = (join(ols), sum(map(size, ols)))
+            put(i, got[0])
+            sops += got[1]
     return sops
 
 
@@ -586,18 +595,26 @@ def union(a: BoolMat, b: BoolMat, counter: OpCounter | None = None) -> BoolMat:
 
 
 def convert(a: BoolMat, layout: str) -> BoolMat:
-    """Return the same logical matrix stored in ``layout``, in a's form."""
+    """Return the same logical matrix stored in ``layout``, in a's form.
+    In bit form the source keys are first grouped by line, their bits
+    ORed together, so each distinct line is walked once and adds the keys
+    that hold it to every position it holds.  Under ``ma1234`` on
+    ``alias-dense`` (seed 1) the bit transposes take 6,257 lines, 2,740
+    of them distinct."""
     if layout not in (ROW, COL):
         raise ValueError(f"unknown layout {layout!r}")
     if a.layout == layout:
         return a
     if a.bits:
+        groups: dict[int, int] = {}
+        gget = groups.get
+        for k, x in a.lines.items():
+            groups[x] = gget(x, 0) | 1 << k
         out: dict[int, int] = {}
         get = out.get
-        for k, x in a.lines.items():
-            bit = 1 << k
+        for x, ks in groups.items():
             for pos in _positions(x):
-                out[pos] = get(pos, 0) | bit
+                out[pos] = get(pos, 0) | ks
         return BoolMat(a.rows, a.cols, layout, out, True)
     buckets: dict[int, list[int]] = {}
     # source lines are walked in ascending key order, so every bucket
@@ -661,6 +678,24 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
     return _remap(h, n, n, lambda i, j: (i, j % n))
+
+
+def block_nnz(h: BoolMat, block_size: int, universe: int) -> list[int]:
+    """The entries in each column block of a row-major horizontal block
+    matrix, block 0 first: in bit form a shifted, masked popcount of each
+    line, in list form two bisects of each line."""
+    n = block_size
+    _check_blocks(h, n, universe * n, "horizontal")
+    if h.layout != ROW:
+        raise ValueError(f"blocks are counted in row-major matrices, got {h!r}")
+    lines = h.lines.values()
+    if h.bits:
+        mask = (1 << n) - 1
+        return [sum((x >> t * n & mask).bit_count() for x in lines) for t in range(universe)]
+    return [
+        sum(bisect_left(line, t * n + n) - bisect_left(line, t * n) for line in lines)
+        for t in range(universe)
+    ]
 
 
 def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:

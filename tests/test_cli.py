@@ -1,6 +1,8 @@
 import argparse
 import io
+import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,12 @@ from cflr.cli import (
     main,
     run_check,
 )
-from cflr.grammar import ensure_wcnf, preset
+from cflr.grammar import PRESET_NAMES, ensure_wcnf, preset
 from cflr.graph import load_graph
-from cflr.semiring import NontermMatrix
+from cflr.semiring import HBLOCK, NontermMatrix
 from cflr.solver import VariantFlags, solve
+
+from _support import sized_graph_text
 
 
 @pytest.fixture
@@ -553,10 +557,12 @@ class TestBenchCommand:
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_path, command):
     """``peak_mem_bytes`` is read right after the solve, before the report
-    builds the pairs and the triple set it counts them from, so the figure
-    does not grow with the result's triple count."""
+    builds the pairs and counts them, and the counts are read from the
+    matrices: no triple set is built, so the figure does not grow with the
+    result's triple count."""
     events = []
     to_triples, pairs = NontermMatrix.to_triples, NontermMatrix.pairs
+    pair_counts = NontermMatrix.pair_counts
 
     def logged(name, method):
         def call(*args):
@@ -568,17 +574,46 @@ def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_pat
     monkeypatch.setattr(cflr.cli, "_peak_memory_bytes", logged("peak", lambda: 4321))
     monkeypatch.setattr(NontermMatrix, "to_triples", logged("triples", to_triples))
     monkeypatch.setattr(NontermMatrix, "pairs", logged("pairs", pairs))
+    monkeypatch.setattr(NontermMatrix, "pair_counts", logged("counts", pair_counts))
     rep = tmp_path / "report.txt"
     argv = [command, "--graph", "chain(8)", "--report", str(rep)]
     if command == "solve":
         argv += ["--output", str(tmp_path / "pairs.txt")]
-        want, records = ["peak", "pairs", "triples"], 1
+        want, records = ["peak", "pairs", "counts"], 1
     else:
         argv += ["--variants", "ma1,ma14", "--reps", "2"]
-        want, records = ["peak", "triples"] * 2, 2
+        want, records = ["peak", "counts"] * 2, 2
     assert main(argv) == EXIT_OK
     assert events == want
     assert read(rep).count("peak_mem_bytes=4321\n") == records
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_report_pair_counts_equal_counts_over_the_triples(name):
+    """Every ``pairs.*`` value and ``pairs_total`` of a report equals a
+    count over ``triples()``, also for each member of a family kept as a
+    block row, whose pairs are the entries of its tag's slot."""
+    g = ensure_wcnf(preset(name))
+    rng = random.Random(70 + PRESET_NAMES.index(name))
+    families = 0
+    for _ in range(3):
+        n = rng.randint(8, 16)
+        graph = load_graph(sized_graph_text(g, rng, n, 3 * n, rng.randint(1, 3)), g)
+        for variant in ("ma", "ma1", "ma14", "ma1234"):
+            result = solve(graph, g, VariantFlags.named(variant))
+            for bits in (False, True):
+                # the same counts from every stored line in list and in bit form
+                mats = {key: m.in_form(bits) for key, m in result.matrices.mats.items()}
+                result.matrices.mats = mats
+                record = cflr.cli._report_record(variant, "g", "gr", result, 0.0, 0)
+                report = dict(line.split("=", 1) for line in record.splitlines())
+                want = Counter(sym.name() for sym, _, _ in result.triples())
+                got = {k[6:]: int(v) for k, v in report.items() if k.startswith("pairs.")}
+                assert got == want, (variant, bits)
+                assert int(report["pairs_total"]) == len(result.triples()), (variant, bits)
+            families += any(r == HBLOCK and m.nnz for (_, r), m in mats.items())
+    if g.is_indexed:
+        assert families  # a family's block row held pairs
 
 
 def _readme_command_line() -> str:

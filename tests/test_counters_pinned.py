@@ -265,6 +265,26 @@ def test_switched_copies_keep_every_piece_in_bit_form(monkeypatch, variant):
     assert any(sym.name() == "M" and key == (PLAIN, ROW) for sym, key in switched)
 
 
+@pytest.mark.parametrize("variant", ["ma1", "ma14"])
+def test_pinned_products_repeat_hit_masks(monkeypatch, variant):
+    """Rows of a bit-form driver that hit the same lines of the other
+    operand share one product row.  Some product of a pinned case has two
+    such rows, so the pinned values cover the rows that reuse it."""
+    repeats = []
+    product = sparse._bit_driver_product
+
+    def recording(driver, other, put, ints):
+        okeys = other.key_mask()
+        hits = [h for x in driver.lines.values() if (h := x & okeys)]
+        repeats.append(len(hits) - len(set(hits)))
+        return product(driver, other, put, ints)
+
+    monkeypatch.setattr(sparse, "_bit_driver_product", recording)
+    _, got = measure("fsca-wcnf:1", variant)
+    assert got == PINNED["fsca-wcnf:1", variant]
+    assert any(repeats)
+
+
 def test_dual_format_keeps_column_copies_only_where_m_old_delta_reads_them(monkeypatch):
     """A left operand keeps a column-major copy only for a step whose right
     operand some step produces.  Any other right operand (a terminal, or a

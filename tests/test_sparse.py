@@ -14,6 +14,7 @@ from cflr.sparse import (
     OpCounter,
     block_collapse,
     block_diagonalize,
+    block_nnz,
     convert,
     horizontal_to_vertical,
     _positions,
@@ -515,6 +516,29 @@ class TestBlocks:
             horizontal_to_vertical(h, 2, 3)
 
     @given(
+        n=st.integers(0, 6),
+        k=st.integers(0, 4),
+        bits=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_nnz_counts_each_slot(self, n, k, bits, data):
+        entries = data.draw(entry_lists(n, k * n)) if n and k else []
+        h = BoolMat.from_entries(n, k * n, entries).in_form(bits)
+        got = block_nnz(h, n, k)
+        assert got == [sum(j // n == t for _, j in h.entries()) for t in range(k)]
+        assert sum(got) == h.nnz
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_block_nnz_refuses_other_shapes_and_column_major(self, bits):
+        h = BoolMat.from_entries(2, 6, [(0, 1), (1, 4)]).in_form(bits)
+        assert block_nnz(h, 2, 3) == [1, 0, 1]
+        with pytest.raises(ValueError, match="horizontal"):
+            block_nnz(h, 3, 2)
+        with pytest.raises(ValueError, match="row-major"):
+            block_nnz(convert(h, COL), 2, 3)
+
+    @given(
         name=st.sampled_from(["block_diagonalize", "block_collapse", "horizontal_to_vertical"]),
         n=st.integers(1, 6),
         k=st.integers(1, 4),
@@ -922,19 +946,22 @@ class CountingLines(dict):
 
 
 class PutRecorder(Accumulator):
-    """An accumulator that keeps every row put into it, as it was put."""
+    """An accumulator that keeps every row put into it, as it was put, and
+    the key it was put at."""
 
-    __slots__ = ("puts",)
+    __slots__ = ("puts", "keys")
 
     def __init__(self, rows, cols, bits=False):
         super().__init__(rows, cols, bits)
         self.puts = []
+        self.keys = []
 
     def sink(self, rows, cols, bits=False):
         put = super().sink(rows, cols, bits)
 
         def recorded(i, row):
             self.puts.append(row)
+            self.keys.append(i)
             put(i, row)
 
         return recorded
@@ -990,3 +1017,94 @@ class TestDriverRowSkip:
             assert c.union_entries == sum(map(len, want_rows.values()))
             assert b.lines.gets <= sum(map(len, meeting))
         assert skipped  # some driver rows did miss
+
+
+class TestDistinctHitMasks:
+    """A bit-form driver row's product depends only on its hit mask, the
+    row ANDed with the other operand's key mask: each distinct mask is
+    looked up once per product, and the product, its counts and the rows
+    put are those of a walk of every row."""
+
+    @pytest.mark.parametrize("other_bits", FORMS)
+    @pytest.mark.parametrize("acc_bits", FORMS)
+    @pytest.mark.parametrize("vertical", [False, True], ids=["plain", "vertical"])
+    def test_each_distinct_hit_mask_is_looked_up_once(self, other_bits, acc_bits, vertical):
+        rng = random.Random(22)
+        repeats = 0
+        for _ in range(40):
+            n, k = rng.randint(2, 9), rng.randint(1, 3)
+            rows = k * n if vertical else n
+            kept = rng.sample(range(n), rng.randint(1, n))
+            missed = [j for j in range(n) if j not in kept]
+            b = random_boolmat(rng, n, n, rng.random() * 0.7)
+            b = BoolMat(n, n, ROW, {i: b.lines.get(i) or [i] for i in kept})
+            # driver rows draw their hits from a few masks, and their misses
+            # at random, so rows that differ share hit masks
+            masks = [rng.sample(kept, rng.randint(0, len(kept))) for _ in range(3)]
+            a = {}
+            for i in range(rows):
+                line = set(rng.choice(masks)) | {j for j in missed if rng.random() < 0.5}
+                if line:
+                    a[i] = sorted(line)
+            a = BoolMat(rows, n, ROW, a).in_form(True)
+            # what a walk of every driver row finds
+            want_rows, want_sops, hit_masks = {}, 0, []
+            for i, dline in a.in_form(False).lines.items():
+                hits = [b.lines[j] for j in dline if j in b.lines]
+                want_sops += sum(map(len, hits))
+                if hits:
+                    want_rows[i] = set().union(*hits)
+                    hit_masks.append(frozenset(j for j in dline if j in b.lines))
+            repeats += len(hit_masks) - len(set(hit_masks))
+            if vertical:
+                want = {(i % n, i - i % n + j) for i, js in want_rows.items() for j in js}
+            else:
+                want = {(i, j) for i, js in want_rows.items() for j in js}
+
+            b = b.in_form(other_bits)
+            b.lines = CountingLines(b.lines)
+            if not other_bits:
+                # a bit-form accumulator reads a list-form operand's lines as ints
+                b._ints = CountingLines(b.in_form(True).lines)
+            acc = PutRecorder(n, k * n if vertical else n, acc_bits)
+            c = OpCounter()
+            assert spgemm(a, b, c, into=acc) is None
+            assert sorted(acc.keys) == sorted(want_rows)
+            for i, row in zip(acc.keys, acc.puts):
+                assert set(_positions(row) if isinstance(row, int) else row) == want_rows[i]
+            got = masked(acc, (), c)
+            assert got.entry_set() == want
+            assert (c.spgemm_calls, c.scalar_ops) == (1, want_sops)
+            assert c.union_entries == sum(map(len, want_rows.values()))
+            lookups = b.lines.gets + (b._ints.gets if not other_bits else 0)
+            assert lookups == sum(map(len, set(hit_masks)))
+        assert repeats  # some rows did share a hit mask
+
+    @pytest.mark.parametrize("layout", [ROW, COL])
+    def test_bit_transpose_walks_each_distinct_line_once(self, monkeypatch, layout):
+        walked = []
+        positions = cflr.sparse._positions
+
+        def counting(x):
+            walked.append(x)
+            return positions(x)
+
+        monkeypatch.setattr(cflr.sparse, "_positions", counting)
+        rng = random.Random(23)
+        repeats = 0
+        for _ in range(40):
+            r, c = rng.randint(1, 12), rng.randint(1, 12)
+            other = COL if layout == ROW else ROW
+            keys, width = (r, c) if layout == ROW else (c, r)
+            # every line is one of a few ints, so lines repeat
+            pool = [rng.randrange(1, 1 << width) for _ in range(rng.randint(1, 3))]
+            lines = {key: rng.choice(pool) for key in range(keys) if rng.random() < 0.8}
+            a = BoolMat(r, c, layout, lines, True)
+            want = convert(a.in_form(False), other)
+            walked.clear()
+            got = convert(a, other)
+            assert sorted(walked) == sorted(set(lines.values()))
+            repeats += len(lines) - len(walked)
+            assert got.bits and got.layout == other
+            assert got.in_form(False).lines == want.lines and got.nnz == want.nnz
+        assert repeats
