@@ -304,6 +304,9 @@ def _cmd_bench(args, files: ExitStack) -> int:
         walls: list[float] = []
         status = "ok"
         for _ in range(args.reps):
+            # an earlier rep's or variant's result would live through this
+            # solve, in its memory figure; the last rep's is kept for the report
+            result = None
             deadline = time.monotonic() + args.timeout_secs
             t0 = time.perf_counter()
             try:

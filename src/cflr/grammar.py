@@ -15,8 +15,10 @@ concrete index values are discovered from the graph at solve time.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, NamedTuple
 
 TERMINAL = "terminal"
@@ -142,6 +144,29 @@ class WcnfGrammar(Cfg):
         }
         for attr, value in derived.items():
             object.__setattr__(self, attr, value)
+
+
+# ---------------------------------------------------------------------------
+# shared with the graph loader, the oracle and the solver
+
+
+def collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, and give the
+    collector back in the state the caller had on every exit.  None of the
+    engine's entry points makes a reference cycle (a test pins this), so
+    reference counting frees all they drop, and the collector would only
+    walk the lines they allocate, for nothing."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    return paused
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
-from .grammar import Cfg, Symbol, TERMINAL, line_tokens
+from .grammar import Cfg, Symbol, TERMINAL, collector_paused, line_tokens
 
 
 class GraphFormatError(ValueError):
@@ -43,6 +43,7 @@ def _assemble(
     return LabeledGraph(len(names), tuple(names), tuple(edges), tuple(universe))
 
 
+@collector_paused
 def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") -> LabeledGraph:
     """Load a graph from ``u label v`` triples.
 
@@ -51,7 +52,8 @@ def load_graph(source: str | Iterable[str], g: Cfg, index_separator: str = "_") 
     base and index at the first separator after the base (longest base
     wins); the index joins the graph's index universe in discovery order.
     Exact duplicate triples are dropped.  A token that starts with ``#``
-    starts a comment, which runs to the end of the line.
+    starts a comment, which runs to the end of the line.  The cyclic
+    garbage collector is paused while it loads (``collector_paused``).
     """
     if isinstance(source, str):
         source = source.splitlines()

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .grammar import EPSILON, NONTERMINAL, Symbol, WcnfGrammar, expand_indexed
+from .grammar import EPSILON, NONTERMINAL, Symbol, WcnfGrammar, collector_paused, expand_indexed
 from .graph import LabeledGraph
 
 
@@ -17,12 +17,14 @@ class ReachTriple(NamedTuple):
     target: int
 
 
+@collector_paused
 def oracle_solve(graph: LabeledGraph, g: WcnfGrammar) -> frozenset[ReachTriple]:
     """Least fixpoint of the per-fact closure rules.
 
     Indexed families are first instantiated against the graph's index
     universe, so the closure itself never reasons about indices.  Intended
-    for small instances (roughly |V| <= 100).
+    for small instances (roughly |V| <= 100).  The cyclic garbage collector
+    is paused while it runs, as in ``solve``, so the two compare fairly.
     """
     gx = expand_indexed(g, graph.index_universe)
 

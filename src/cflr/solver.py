@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import sparse
-from .grammar import WcnfGrammar, expand_indexed
+from .grammar import WcnfGrammar, collector_paused, expand_indexed
 from .graph import LabeledGraph
 from .semiring import (
     HBLOCK,
@@ -343,6 +343,7 @@ class SolveResult:
         return self.matrices.to_triples()
 
 
+@collector_paused
 def solve(
     graph: LabeledGraph,
     g: WcnfGrammar,
@@ -365,6 +366,7 @@ def solve(
     ``time.monotonic()`` instant after which :class:`SolveTimeout` is
     raised: it is checked at the top of every iteration, before each
     product, each store insert, each unit-rule step and each symbol's mask.
+    The cyclic garbage collector is paused for the whole solve, hook included.
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")

@@ -2,6 +2,7 @@ import argparse
 import io
 import random
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -552,6 +553,22 @@ class TestBenchCommand:
         assert rc == EXIT_OK
         rec = {r["variant"]: r for r in self._records(read(rep))}
         assert int(rec["ma"]["scalar_ops"]) > int(rec["ma1"]["scalar_ops"])
+
+    def test_no_earlier_result_lives_through_a_solve(self, tmp_path, monkeypatch):
+        """Each solve starts once every earlier rep's and variant's result
+        is freed, so none adds to the memory it works beside."""
+        results = []
+
+        def tracked(*args, **kwargs):
+            assert [r() for r in results] == [None] * len(results)
+            result = solve(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cflr.cli, "solve", tracked)
+        argv = ["bench", "--graph", "chain(16)", "--variants", "ma,ma1", "--reps", "2"]
+        assert main(argv + ["--report", str(tmp_path / "bench.txt")]) == EXIT_OK
+        assert len(results) == 4
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
