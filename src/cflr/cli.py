@@ -264,12 +264,9 @@ def run_check(
     for variant in variants:
         got = solve_fn(graph, g, VariantFlags.named(variant)).triples()
         if got == reference:
+            del got  # not kept through the next variant's solve
             continue
-        disagreements = sorted(
-            reference.symmetric_difference(got),
-            key=lambda t: (t[0].name(), t[1], t[2]),
-        )
-        sym, i, j = disagreements[0]
+        sym, i, j = min(reference ^ got, key=lambda t: (t[0].name(), t[1], t[2]))
         in_oracle = (sym, i, j) in reference
         out.write(
             f"divergence: nonterminal={sym.name()} "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import sparse
 from .grammar import EPSILON, NONTERMINAL, TERMINAL, Symbol, WcnfGrammar
@@ -182,55 +182,45 @@ class NontermMatrix:
                 return sparse.horizontal_to_vertical(h, self.size, self.k)
         return BoolMat.empty(*self.dims(repr_))
 
+    def _member(self, sym: Symbol) -> BoolMat:
+        """The n x n matrix of a plain symbol or family member: its plain
+        key's, else its tag's slot of the family with its base, else empty."""
+        m = self.mats.get((sym, PLAIN))
+        fams = [h for (s, r), h in self.mats.items() if r == HBLOCK and s.base == sym.base]
+        if m is None and fams and sym.index in self.universe:
+            m = sparse._block_slots(fams[0], self.size, self.k)[self.universe.index(sym.index)]
+        return BoolMat.empty(self.size, self.size) if m is None else m
+
+    def _members(self) -> Iterator[tuple[Symbol, BoolMat]]:
+        """(symbol, n x n matrix) for every nonterminal, each member of a
+        family listed with its tag's slot."""
+        for (sym, repr_), m in self.mats.items():
+            if sym.kind != NONTERMINAL:
+                continue
+            if repr_ == PLAIN:
+                yield sym, m
+            else:
+                for tag, slot in zip(self.universe, sparse._block_slots(m, self.size, self.k)):
+                    yield Symbol(sym.kind, sym.base, tag), slot
+
     def pairs(self, sym: Symbol) -> list[tuple[int, int]]:
         """Sorted (source, target) pairs for a plain or concrete-indexed
         symbol."""
-        m = self.mats.get((sym, PLAIN))
-        if m is not None:
-            return sorted(m.entries())
-        if sym.index is not None and sym.index in self.universe:
-            fam = next(
-                (s for (s, r) in self.mats if r == HBLOCK and s.base == sym.base), None
-            )
-            if fam is not None:
-                t, n = self.universe.index(sym.index), self.size
-                h = self.mats[(fam, HBLOCK)]
-                return sorted(
-                    (i, j - t * n) for i, j in h.entries() if t * n <= j < (t + 1) * n
-                )
-        return []
+        return sorted(self._member(sym).entries())
 
     def to_triples(self) -> frozenset[tuple[Symbol, int, int]]:
         """All (nonterminal, source, target) facts, indexed families
         decoded into concrete per-index symbols."""
-        n = self.size
-        out: set[tuple[Symbol, int, int]] = set()
-        for (sym, repr_), m in self.mats.items():
-            if sym.kind != NONTERMINAL:
-                continue
-            if repr_ == PLAIN:
-                out.update((sym, i, j) for i, j in m.entries())
-            elif repr_ == HBLOCK:
-                for i, j in m.entries():
-                    t, jj = divmod(j, n)
-                    out.add((Symbol(sym.kind, sym.base, self.universe[t]), i, jj))
-        return frozenset(out)
+        members = ((sym, m.in_form(False).lines) for sym, m in self._members())
+        return frozenset((sym, i, j) for sym, lines in members for i, row in lines.items() for j in row)
 
     def pair_counts(self) -> dict[str, int]:
-        """The number of (source, target) pairs of each nonterminal that
-        has any, by name, as counted over :meth:`to_triples`, read from the
-        matrices without building a triple: a plain symbol's nnz, and each
-        family member's entries in its tag's slot of the block row."""
+        """The pairs of each nonterminal that has any, by name, as counted
+        over :meth:`to_triples` but read as each member's nnz; a plain name
+        and a member's name can coincide, so their counts are summed."""
         counts: Counter[str] = Counter()
-        for (sym, repr_), m in self.mats.items():
-            if sym.kind != NONTERMINAL:
-                continue
-            if repr_ == PLAIN:
-                counts[sym.name()] += m.nnz
-            elif repr_ == HBLOCK:
-                slots = sparse.block_nnz(m, self.size, self.k)
-                for tag, c in zip(self.universe, slots):
-                    counts[Symbol(sym.kind, sym.base, tag).name()] += c
+        for sym, m in self._members():
+            counts[sym.name()] += m.nnz
         return dict(sorted((+counts).items()))
 
     def union(self, other: "NontermMatrix", counter: OpCounter | None = None) -> "NontermMatrix":

@@ -680,22 +680,29 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     return _remap(h, n, n, lambda i, j: (i, j % n))
 
 
-def block_nnz(h: BoolMat, block_size: int, universe: int) -> list[int]:
-    """The entries in each column block of a row-major horizontal block
-    matrix, block 0 first: in bit form a shifted, masked popcount of each
-    line, in list form two bisects of each line."""
+def _block_slots(h: BoolMat, block_size: int, universe: int) -> list[BoolMat]:
+    """The column blocks of a row-major horizontal block matrix, block 0
+    first, each an n x n row-major matrix in h's form: entry (u, t*n + w)
+    goes to (u, w) of block t.  Each line is walked once, in bit form a
+    block's mask and shift at a time, in list form a position at a time.
+    A reader of results: kernel traces wrap only the public functions."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
     if h.layout != ROW:
-        raise ValueError(f"blocks are counted in row-major matrices, got {h!r}")
-    lines = h.lines.values()
-    if h.bits:
-        mask = (1 << n) - 1
-        return [sum((x >> t * n & mask).bit_count() for x in lines) for t in range(universe)]
-    return [
-        sum(bisect_left(line, t * n + n) - bisect_left(line, t * n) for line in lines)
-        for t in range(universe)
-    ]
+        raise ValueError(f"a block move takes row-major matrices, got {h!r}")
+    slots: list[dict] = [{} for _ in range(universe)]
+    mask = (1 << n) - 1
+    for u, line in h.lines.items():
+        if h.bits:
+            for slot in slots:
+                if y := line & mask:
+                    slot[u] = y
+                line >>= n
+        else:
+            for p in line:
+                t, w = divmod(p, n)
+                slots[t].setdefault(u, []).append(w)
+    return [BoolMat(n, n, ROW, lines, h.bits) for lines in slots]
 
 
 def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:

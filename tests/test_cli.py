@@ -478,6 +478,32 @@ class TestCheckCommand:
         text = buf.getvalue()
         assert "divergence:" in text and "pair=(" in text and "oracle=present" in text
 
+    def test_no_earlier_triple_set_lives_through_a_solve(self):
+        """Each variant's solve starts once every earlier variant's triple
+        set is freed, so none adds to the memory it works beside."""
+        g = ensure_wcnf(preset("dyck"))
+        graph = load_graph("0 a 1\n1 a 2\n2 b 3\n3 b 4\n", g)
+        sets = []
+
+        class Triples(frozenset):  # a frozenset subclass takes weak references
+            pass
+
+        def tracked(graph, g, flags):
+            assert [s() for s in sets] == [None] * len(sets)
+            result = solve(graph, g, flags)
+
+            class Fake:
+                def triples(self):
+                    got = Triples(result.triples())
+                    sets.append(weakref.ref(got))
+                    return got
+
+            return Fake()
+
+        buf = io.StringIO()
+        assert run_check(graph, g, ["ma", "ma1", "ma14"], solve_fn=tracked, out=buf) == EXIT_OK
+        assert len(sets) == 3 and "check ok" in buf.getvalue()
+
     def test_oracle_guard(self, tmp_path, dyck_grammar_file):
         graph = tmp_path / "big.txt"
         graph.write_text("\n".join(f"{i} a {i + 1}" for i in range(600)))
@@ -609,28 +635,45 @@ def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_pat
 def test_report_pair_counts_equal_counts_over_the_triples(name):
     """Every ``pairs.*`` value and ``pairs_total`` of a report equals a
     count over ``triples()``, also for each member of a family kept as a
-    block row, whose pairs are the entries of its tag's slot."""
+    block row, whose pairs are the entries of its tag's slot; and every
+    member's ``pairs`` are its pairs in ``triples()``."""
     g = ensure_wcnf(preset(name))
     rng = random.Random(70 + PRESET_NAMES.index(name))
-    families = 0
+    families = Counter()
     for _ in range(3):
         n = rng.randint(8, 16)
         graph = load_graph(sized_graph_text(g, rng, n, 3 * n, rng.randint(1, 3)), g)
         for variant in ("ma", "ma1", "ma14", "ma1234"):
             result = solve(graph, g, VariantFlags.named(variant))
+            # every nonterminal the solve ran, each family member listed
+            ran = result.grammar
+            members = [s for s in ran.nonterminals if not ran.is_indexed_symbol(s)]
+            members += [
+                s._replace(index=tag)
+                for s in ran.nonterminals
+                if ran.is_indexed_symbol(s)
+                for tag in graph.index_universe
+            ]
             for bits in (False, True):
                 # the same counts from every stored line in list and in bit form
                 mats = {key: m.in_form(bits) for key, m in result.matrices.mats.items()}
                 result.matrices.mats = mats
                 record = cflr.cli._report_record(variant, "g", "gr", result, 0.0, 0)
                 report = dict(line.split("=", 1) for line in record.splitlines())
-                want = Counter(sym.name() for sym, _, _ in result.triples())
+                triples = result.triples()
+                want = Counter(sym.name() for sym, _, _ in triples)
                 got = {k[6:]: int(v) for k, v in report.items() if k.startswith("pairs.")}
                 assert got == want, (variant, bits)
-                assert int(report["pairs_total"]) == len(result.triples()), (variant, bits)
-            families += any(r == HBLOCK and m.nnz for (_, r), m in mats.items())
+                assert int(report["pairs_total"]) == len(triples), (variant, bits)
+                for sym in members:
+                    pairs = sorted((i, j) for s, i, j in triples if s == sym)
+                    assert result.matrices.pairs(sym) == pairs, (variant, bits, sym)
+                families[bits] += any(
+                    r == HBLOCK and m.nnz and m.bits == bits for (_, r), m in mats.items()
+                )
     if g.is_indexed:
-        assert families  # a family's block row held pairs
+        # a family's block row held pairs, in each line form
+        assert families[False] and families[True]
 
 
 def _readme_command_line() -> str:

@@ -14,7 +14,7 @@ from cflr.sparse import (
     OpCounter,
     block_collapse,
     block_diagonalize,
-    block_nnz,
+    _block_slots,
     convert,
     horizontal_to_vertical,
     _positions,
@@ -522,21 +522,29 @@ class TestBlocks:
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_block_nnz_counts_each_slot(self, n, k, bits, data):
+    def test_block_slots_are_the_column_blocks(self, n, k, bits, data):
         entries = data.draw(entry_lists(n, k * n)) if n and k else []
         h = BoolMat.from_entries(n, k * n, entries).in_form(bits)
-        got = block_nnz(h, n, k)
-        assert got == [sum(j // n == t for _, j in h.entries()) for t in range(k)]
-        assert sum(got) == h.nnz
+        slots = _block_slots(h, n, k)
+        assert len(slots) == k
+        for t, slot in enumerate(slots):
+            assert slot.shape() == (n, n) and slot.layout == ROW and slot.bits == bits
+            want = {(i, j - t * n) for i, j in h.entries() if t * n <= j < t * n + n}
+            assert slot.entry_set() == want
+            if not bits:
+                assert all(line == sorted(set(line)) for line in slot.lines.values())
+        assert sum(slot.nnz for slot in slots) == h.nnz
 
     @pytest.mark.parametrize("bits", [False, True])
-    def test_block_nnz_refuses_other_shapes_and_column_major(self, bits):
+    def test_block_slots_refuse_other_shapes_and_column_major(self, bits):
         h = BoolMat.from_entries(2, 6, [(0, 1), (1, 4)]).in_form(bits)
-        assert block_nnz(h, 2, 3) == [1, 0, 1]
+        assert [s.entry_set() for s in _block_slots(h, 2, 3)] == [{(0, 1)}, set(), {(1, 0)}]
         with pytest.raises(ValueError, match="horizontal"):
-            block_nnz(h, 3, 2)
+            _block_slots(h, 3, 2)
+        with pytest.raises(ValueError, match="horizontal"):
+            _block_slots(h, 2, 2)
         with pytest.raises(ValueError, match="row-major"):
-            block_nnz(convert(h, COL), 2, 3)
+            _block_slots(convert(h, COL), 2, 3)
 
     @given(
         name=st.sampled_from(["block_diagonalize", "block_collapse", "horizontal_to_vertical"]),
