@@ -13,6 +13,7 @@ import sys
 import time
 from contextlib import ExitStack
 from itertools import chain
+from typing import Iterable
 
 try:
     import resource
@@ -153,14 +154,16 @@ def _nonterminals_by_name(g: WcnfGrammar, graph: LabeledGraph) -> dict[str, Symb
     return named
 
 
-def _format_pairs(graph: LabeledGraph, pairs: list[tuple[int, int]]) -> str:
+def _format_pairs(graph: LabeledGraph, pairs: Iterable[tuple[int, int]]) -> str:
+    """The pairs by vertex name in one sort: as ints when every name is
+    decimal, and then ties (``01`` and ``1``) by vertex id."""
     names = graph.vertex_names
-    rows = [(names[u], names[v]) for u, v in pairs]
-    if all(a.isdecimal() and b.isdecimal() for a, b in rows):
-        rows.sort(key=lambda r: (int(r[0]), int(r[1])))
+    rows = [(names[u], names[v], u, v) for u, v in pairs]
+    if all(a.isdecimal() and b.isdecimal() for a, b, _, _ in rows):
+        rows.sort(key=lambda r: (int(r[0]), int(r[1]), r[2], r[3]))
     else:
         rows.sort()
-    return "".join(f"{a} {b}\n" for a, b in rows)
+    return "".join(f"{a} {b}\n" for a, b, _, _ in rows)
 
 
 def _report_record(
@@ -246,7 +249,7 @@ def _cmd_solve(args, files: ExitStack) -> int:
     # read before the pairs and their counts are built
     peak = _peak_memory_bytes()
 
-    _write(out, _format_pairs(graph, result.matrices.pairs(sym)))
+    _write(out, _format_pairs(graph, result.matrices.member(sym).entries()))
     _write(rep, _report_record(args.variant, grammar_id, graph_id, result, wall, peak))
     return EXIT_OK
 

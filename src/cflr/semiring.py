@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import sparse
-from .grammar import EPSILON, NONTERMINAL, TERMINAL, Symbol, WcnfGrammar
+from .grammar import EPSILON, NONTERMINAL, TERMINAL, Symbol, WcnfGrammar, collector_paused
 from .graph import LabeledGraph
 from .sparse import BoolMat, OpCounter
 
@@ -182,7 +182,7 @@ class NontermMatrix:
                 return sparse.horizontal_to_vertical(h, self.size, self.k)
         return BoolMat.empty(*self.dims(repr_))
 
-    def _member(self, sym: Symbol) -> BoolMat:
+    def member(self, sym: Symbol) -> BoolMat:
         """The n x n matrix of a plain symbol or family member: its plain
         key's, else its tag's slot of the family with its base, else empty."""
         m = self.mats.get((sym, PLAIN))
@@ -203,11 +203,13 @@ class NontermMatrix:
                 for tag, slot in zip(self.universe, sparse._block_slots(m, self.size, self.k)):
                     yield Symbol(sym.kind, sym.base, tag), slot
 
+    @collector_paused
     def pairs(self, sym: Symbol) -> list[tuple[int, int]]:
         """Sorted (source, target) pairs for a plain or concrete-indexed
         symbol."""
-        return sorted(self._member(sym).entries())
+        return sorted(self.member(sym).entries())
 
+    @collector_paused
     def to_triples(self) -> frozenset[tuple[Symbol, int, int]]:
         """All (nonterminal, source, target) facts, indexed families
         decoded into concrete per-index symbols."""

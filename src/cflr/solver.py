@@ -37,8 +37,6 @@ from . import sparse
 from .grammar import WcnfGrammar, collector_paused, expand_indexed
 from .graph import LabeledGraph
 from .semiring import (
-    HBLOCK,
-    VBLOCK,
     NontermMatrix,
     _apply_transform,
     build_rule_plan,
@@ -223,8 +221,7 @@ class _DeltaView:
             m = self.mat
             repr_, layout = key
             if repr_ != st.canonical[0]:
-                if (st.canonical[0], repr_) != (HBLOCK, VBLOCK):
-                    raise ValueError(f"cannot derive {repr_} from {st.canonical[0]}")
+                # a family's vertical blocks: the one other form a rule reads
                 m = sparse.horizontal_to_vertical(m, st.n, st.k)
             if layout != ROW:
                 m = sparse.convert(m, layout)

@@ -625,18 +625,6 @@ def convert(a: BoolMat, layout: str) -> BoolMat:
     return BoolMat(a.rows, a.cols, layout, buckets)
 
 
-def _exact(lines: dict[int, list[int]]) -> dict[int, list[int]]:
-    """``lines`` with every line of two or more positions copied, in place,
-    into a list of exactly its length.  A line of one position is built as
-    a literal, which is exact already; a longer line built by appends has
-    spare slots, which a stored copy would keep for the rest of the
-    solve."""
-    for key, line in lines.items():
-        if len(line) > 1:
-            lines[key] = line[:]
-    return lines
-
-
 def _line(positions: set[int]) -> list[int]:
     """The positions as a sorted line, in a list of exactly their number."""
     return sorted(positions)[:] if len(positions) > 1 else [min(positions)]
@@ -680,43 +668,26 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
     return _remap(h, n, n, lambda i, j: (i, j % n))
 
 
-def _block_slots(h: BoolMat, block_size: int, universe: int) -> list[BoolMat]:
-    """The column blocks of a row-major horizontal block matrix, block 0
-    first, each an n x n row-major matrix in h's form: entry (u, t*n + w)
-    goes to (u, w) of block t.  Each line is walked once, in bit form a
-    block's mask and shift at a time, in list form a position at a time.
-    A reader of results: kernel traces wrap only the public functions."""
+def _vertical_lines(h: BoolMat, block_size: int, universe: int) -> dict:
+    """The lines of h's vertical blocks, in h's form: row u's positions in
+    column block t, moved left by t*n, are line t*n + u.  A bit line is
+    split by mask and shift, a sorted list line walked in its runs, one
+    per block.  A stored copy keeps these lists for the rest of the solve,
+    so each is exact-size and block 0's keep h's int objects."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
     if h.layout != ROW:
         raise ValueError(f"a block move takes row-major matrices, got {h!r}")
-    slots: list[dict] = [{} for _ in range(universe)]
-    mask = (1 << n) - 1
-    for u, line in h.lines.items():
-        if h.bits:
-            for slot in slots:
+    out: dict = {}
+    if h.bits:
+        mask = (1 << n) - 1
+        for u, line in h.lines.items():
+            for key in range(u, universe * n, n):
                 if y := line & mask:
-                    slot[u] = y
+                    out[key] = y
                 line >>= n
-        else:
-            for p in line:
-                t, w = divmod(p, n)
-                slots[t].setdefault(u, []).append(w)
-    return [BoolMat(n, n, ROW, lines, h.bits) for lines in slots]
-
-
-def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:
-    """Re-index per-slot blocks from horizontal to vertical storage: entry
-    (u, t*n + w) becomes (t*n + u, w).  ``h`` must be row-major."""
-    n = block_size
-    _check_blocks(h, n, universe * n, "horizontal")
-    if h.layout != ROW:
-        raise ValueError(f"a block move takes row-major matrices, got {h!r}")
-    out: dict[int, list[int]] = {}
-    # a sorted line meets each block in one sorted run: row u's run in
-    # block t, moved left by t*n, is row t*n + u; block 0 keeps its int
-    # objects, which a stored copy then shares
-    for u, line in _list_lines(h).items():
+        return out
+    for u, line in h.lines.items():
         t0 = -1
         for p in line:
             t = p // n
@@ -725,4 +696,27 @@ def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMa
                 out[off + u] = row = [p - off if off else p]
             else:
                 row.append(p - off if off else p)
-    return BoolMat(universe * n, n, ROW, _exact(out))
+    for key, row in out.items():
+        if len(row) > 1:
+            out[key] = row[:]
+    return out
+
+
+def _block_slots(h: BoolMat, block_size: int, universe: int) -> list[BoolMat]:
+    """The column blocks of ``h``, block 0 first, each an n x n row-major
+    matrix in h's form: the lines of :func:`_vertical_lines`, grouped by
+    block.  A reader of results: kernel traces wrap only the public
+    functions."""
+    n = block_size
+    slots: list[dict] = [{} for _ in range(universe)]
+    for key, line in _vertical_lines(h, n, universe).items():
+        t, u = divmod(key, n)
+        slots[t][u] = line
+    return [BoolMat(n, n, ROW, lines, h.bits) for lines in slots]
+
+
+def horizontal_to_vertical(h: BoolMat, block_size: int, universe: int) -> BoolMat:
+    """Re-index per-slot blocks from horizontal to vertical storage, in h's
+    form: entry (u, t*n + w) becomes (t*n + u, w).  ``h`` is row-major."""
+    lines = _vertical_lines(h, block_size, universe)
+    return BoolMat(universe * block_size, block_size, ROW, lines, h.bits)

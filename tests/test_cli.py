@@ -150,6 +150,16 @@ class TestSolveCommand:
         assert main(argv + ["--report", str(tmp_path / "r.txt")]) == EXIT_OK
         assert out.read_text(encoding="utf-8") == "10 9\n² 7\n"
 
+    def test_names_equal_as_ints_keep_the_order_of_their_vertex_ids(self, tmp_path):
+        """``01`` and ``1`` are one int: pairs that tie as ints come in the
+        order of their vertex ids, ``1`` (read first) before ``01``."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("1 a 5\n5 b 02\n01 a 6\n6 b 2\n1 a 7\n7 b 2\n01 a 8\n8 b 02\n")
+        out = tmp_path / "pairs.txt"
+        argv = ["solve", "--graph", str(graph), "--preset", "dyck", "--output", str(out)]
+        assert main(argv + ["--report", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert read(out) == "1 02\n1 2\n01 02\n01 2\n"
+
     def test_missing_grammar(self, dyck_path_graph):
         rc = main(["solve", "--graph", str(dyck_path_graph), "--variant", "ma"])
         assert rc == EXIT_INPUT
@@ -605,7 +615,7 @@ def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_pat
     result's triple count."""
     events = []
     to_triples, pairs = NontermMatrix.to_triples, NontermMatrix.pairs
-    pair_counts = NontermMatrix.pair_counts
+    member, pair_counts = NontermMatrix.member, NontermMatrix.pair_counts
 
     def logged(name, method):
         def call(*args):
@@ -617,12 +627,13 @@ def test_memory_figure_is_read_before_the_pairs_are_counted(monkeypatch, tmp_pat
     monkeypatch.setattr(cflr.cli, "_peak_memory_bytes", logged("peak", lambda: 4321))
     monkeypatch.setattr(NontermMatrix, "to_triples", logged("triples", to_triples))
     monkeypatch.setattr(NontermMatrix, "pairs", logged("pairs", pairs))
+    monkeypatch.setattr(NontermMatrix, "member", logged("member", member))
     monkeypatch.setattr(NontermMatrix, "pair_counts", logged("counts", pair_counts))
     rep = tmp_path / "report.txt"
     argv = [command, "--graph", "chain(8)", "--report", str(rep)]
     if command == "solve":
         argv += ["--output", str(tmp_path / "pairs.txt")]
-        want, records = ["peak", "pairs", "counts"], 1
+        want, records = ["peak", "member", "counts"], 1
     else:
         argv += ["--variants", "ma1,ma14", "--reps", "2"]
         want, records = ["peak", "counts"] * 2, 2

@@ -1,5 +1,6 @@
 """The engine's three entry points (``load_graph``, ``oracle_solve`` and
-``solve``) run with the cyclic garbage collector paused.  That rests on
+``solve``) and the result readers (``NontermMatrix.to_triples`` and
+``pairs``) run with the cyclic garbage collector paused.  That rests on
 the engine making no reference cycle, which the first test pins: a cycle
 made during a paused run would pile up unseen until the collector runs
 again.  The other tests check that every exit gives the caller back the
@@ -14,6 +15,7 @@ import pytest
 from cflr.grammar import PRESET_NAMES, ensure_wcnf, preset
 from cflr.graph import GraphFormatError, load_graph
 from cflr.oracle import oracle_solve
+from cflr.semiring import PLAIN, NontermMatrix
 from cflr.solver import VARIANT_NAMES, SolveTimeout, VariantFlags, solve
 
 from _support import sized_graph_text
@@ -66,6 +68,12 @@ def test_the_engine_makes_no_reference_cycle(name):
             (f"{v} times out", lambda f=flags: solve(graph, g, f, deadline=_past())),
             (f"{v} hook raises", lambda f=flags: solve(graph, g, f, iteration_hook=_stop)),
         ]
+        m = solve(graph, g, flags).matrices
+        members = {sym for sym, _, _ in m.to_triples()}
+        runs += [
+            (f"{v} to_triples", m.to_triples),
+            (f"{v} pairs", lambda m=m, ss=members: [m.pairs(s) for s in ss]),
+        ]
     for label, run in runs:
         gc.collect()
         try:
@@ -77,8 +85,9 @@ def test_the_engine_makes_no_reference_cycle(name):
 
 def _exits(g, graph):
     """(label, call, exception it raises or None) for every exit path of
-    every entry point."""
+    every entry point and result reader."""
     ma1 = VariantFlags.named("ma1")
+    result = solve(graph, g, ma1).matrices
 
     def interrupt(*_):
         raise KeyboardInterrupt
@@ -93,6 +102,10 @@ def _exits(g, graph):
         ("solve hook raises", lambda: solve(graph, g, ma1, iteration_hook=_stop), _Stop),
         ("solve interrupted", lambda: solve(graph, g, ma1, iteration_hook=interrupt),
          KeyboardInterrupt),
+        ("to_triples returns", result.to_triples, None),
+        ("pairs returns", lambda: result.pairs(g.start), None),
+        ("to_triples raises", NontermMatrix(1, (), {(g.start, PLAIN): None}).to_triples,
+         AttributeError),
     ]
 
 
@@ -132,4 +145,17 @@ def test_the_callers_state_returns_even_if_the_hook_changes_it(collector, dyck):
     g, graph = dyck
     flip = gc.disable if collector else gc.enable
     solve(graph, g, VariantFlags.named("ma1"), iteration_hook=lambda *_: flip())
+    assert gc.isenabled() is collector
+
+
+def test_the_readers_run_with_the_collector_paused(collector, dyck, monkeypatch):
+    g, graph = dyck
+    m = solve(graph, g, VariantFlags.named("ma1")).matrices
+    seen = []
+    for name in ("member", "_members"):
+        read = getattr(NontermMatrix, name)
+        logged = lambda *args, read=read: seen.append(gc.isenabled()) or read(*args)  # noqa: E731
+        monkeypatch.setattr(NontermMatrix, name, logged)
+    assert m.to_triples() and m.pairs(g.start)
+    assert seen == [False, False]
     assert gc.isenabled() is collector

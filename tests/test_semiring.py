@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -5,16 +6,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cflr.sparse
 from cflr.grammar import Symbol, ensure_wcnf, expand_indexed, parse_grammar, preset
 from cflr.graph import LabeledGraph, load_graph
 from cflr.semiring import (
     HBLOCK,
     PLAIN,
+    VBLOCK,
     NontermMatrix,
     build_rule_plan,
     initial_matrix,
     scalar_mul,
 )
+from cflr.solver import VariantFlags, solve
 from cflr.sparse import OpCounter
 from _support import (
     apply_unit_rules,
@@ -22,6 +26,7 @@ from _support import (
     initial_matrix_by_edge,
     random_graph_text,
     semiring_matmul,
+    sized_graph_text,
 )
 
 CSCVF_WCNF = ensure_wcnf(preset("cscvf-wcnf"))
@@ -253,3 +258,36 @@ class TestRulePlan:
         vv = m.mats[(nt("V"), PLAIN)].entry_set()
         assert (0, 2) in mm
         assert mm <= vv  # the unit rule pours M into V
+
+
+@pytest.mark.parametrize("name", ["cscvf-wcnf", "fsca-wcnf"])
+@pytest.mark.parametrize("bits", [False, True])
+def test_result_readers_call_no_public_sparse_function(monkeypatch, name, bits):
+    """A kernel trace wraps every public function of ``cflr.sparse`` (chosen
+    here as ``perfbench/spans.py`` chooses them) and takes each span it
+    records for a part of the solve, so the readers a caller runs after the
+    solve call none of them, with the families' lines in either form."""
+    g = ensure_wcnf(preset(name))
+    graph = load_graph(sized_graph_text(g, random.Random(31), 60, 240, 3), g)
+    solved = solve(graph, g, VariantFlags.named("ma14")).matrices
+    mats = {key: m.in_form(bits) for key, m in solved.mats.items()}
+    assert any(r == HBLOCK and m.nnz for (_, r), m in mats.items())
+    matrices = NontermMatrix(solved.size, solved.universe, mats)
+    called = []
+    for attr, fn in vars(cflr.sparse).items():
+        if inspect.isfunction(fn) and not attr.startswith("_") and fn.__module__ == "cflr.sparse":
+
+            def recorder(*args, attr=attr, fn=fn, **kwargs):
+                called.append(attr)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cflr.sparse, attr, recorder)
+    triples = matrices.to_triples()
+    for sym in {s for s, _, _ in triples}:
+        assert matrices.pairs(sym)
+    assert sum(matrices.pair_counts().values()) == len(triples)
+    assert called == []
+    # the recorders are in place: the solve's block move is recorded
+    family = next(s for s, r in mats if r == HBLOCK)
+    matrices.fetch((family, VBLOCK))
+    assert called == ["horizontal_to_vertical"]

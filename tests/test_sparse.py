@@ -546,6 +546,32 @@ class TestBlocks:
         with pytest.raises(ValueError, match="row-major"):
             _block_slots(convert(h, COL), 2, 3)
 
+    @given(n=st.integers(0, 6), k=st.integers(0, 4), bits=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vertical_blocks_are_the_block_slots_restacked(self, n, k, bits, data):
+        entries = data.draw(entry_lists(n, k * n)) if n and k else []
+        h = BoolMat.from_entries(n, k * n, entries).in_form(bits)
+        v = horizontal_to_vertical(h, n, k)
+        slots = enumerate(_block_slots(h, n, k))
+        assert v.lines == {t * n + u: line for t, s in slots for u, line in s.lines.items()}
+        assert v.shape() == (k * n, n) and v.layout == ROW and v.bits == bits
+        if not bits:
+            for line in v.lines.values():
+                assert line == sorted(set(line))
+                assert sys.getsizeof(line) == sys.getsizeof(line[:])
+
+    def test_block_zero_keeps_the_int_objects_of_its_input(self):
+        """Ints above 256 are not cached by CPython, so only positions taken
+        over from ``h`` are the very objects of h's line; a stored vertical
+        copy then shares them."""
+        n = 300
+        row = [int(str(p)) for p in (257, 299, n + 257, n + 299)]
+        h = BoolMat(n, 2 * n, ROW, {1: row})
+        v = horizontal_to_vertical(h, n, 2)
+        assert v.lines == {1: [257, 299], n + 1: [257, 299]}
+        assert v.lines[1] is not row
+        assert all(got is mine for got, mine in zip(v.lines[1], row[:2], strict=True))
+
     @given(
         name=st.sampled_from(["block_diagonalize", "block_collapse", "horizontal_to_vertical"]),
         n=st.integers(1, 6),
@@ -564,7 +590,11 @@ class TestBlocks:
         got = getattr(cflr.sparse, name)(m, n, k)
         want = _remap(m, *remapped_block_moves(n, k)[name])
         assert got == want and got.shape() == want.shape()
-        assert got.layout == layout and not got.bits
+        # the vertical blocks keep the input's line form, the others are lists
+        assert got.layout == layout and got.bits == (bits and name == "horizontal_to_vertical")
+        if got.bits:
+            assert all(got.lines.values())
+            return
         for line in got.lines.values():
             assert line == sorted(set(line))
             # exact-size: no spare slots left by appends
@@ -707,7 +737,9 @@ class TestBitForm:
                 _assert_same(block_offset(ab, slot, k, side), block_offset(a, slot, k, side))
         _assert_same(block_collapse(hb, n, k), block_collapse(h, n, k))
         if layout == ROW:  # column-major input is refused
-            _assert_same(horizontal_to_vertical(hb, n, k), horizontal_to_vertical(h, n, k))
+            got = horizontal_to_vertical(hb, n, k)
+            assert got.bits
+            _assert_same(got.in_form(False), horizontal_to_vertical(h, n, k))
         _assert_same(block_diagonalize(vb, n, k), block_diagonalize(v, n, k))
         _assert_same(vertical_to_horizontal(vb, n, k), vertical_to_horizontal(v, n, k))
 
