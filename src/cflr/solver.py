@@ -170,9 +170,10 @@ _StoreKey = tuple[str, str]  # (repr, layout)
 
 class _Bundle:
     """Mirrored copies of one logical matrix, one per store key.  A bundle
-    made from a fresh delta does not own its copies: the delta is still
-    read in the iteration that found it, so the bundle is copied once
-    before anything is merged into it."""
+    made from a fresh delta does not own its copies while its pass lasts:
+    the delta is still read in that pass, so a merge into it goes into a
+    copy.  Once the pass is over the bundle owns them, and merges go into
+    it in place."""
 
     __slots__ = ("copies", "nnz", "owned")
 
@@ -280,6 +281,9 @@ class _Store:
         if self.forest is None:
             self.bundles[0].merge(db, counter)
         else:
+            # the earlier passes' deltas are no longer read
+            for el in self.bundles:
+                el.owned = True
             self.forest.insert(db, counter)
             self.bundles = self.forest.elements[::-1]
         for key, excess in self.pending:
@@ -358,11 +362,15 @@ def solve(
     an unkept left copy is read through its record's pre-built empty
     stand-in, so the product is still formed and counted.
     ``iteration_hook(iteration, m_old, delta, m)`` is called at the top of
-    every iteration of every variant with materialized snapshots: ``delta``
-    is disjoint from ``m_old`` and ``m`` is their union.  ``deadline`` is a
+    every iteration of every variant with snapshots, copies no later pass
+    changes: ``delta`` is the pass's delta (which the stores go on to keep
+    and merge into in place), disjoint from ``m_old``, and ``m`` is their
+    union.  Without a hook nothing is copied.  ``deadline`` is a
     ``time.monotonic()`` instant after which :class:`SolveTimeout` is
     raised: it is checked at the top of every iteration, before each
     product, each store insert, each unit-rule step and each symbol's mask.
+    Once the loop ends every store drops all but its canonical copies, and
+    each store is let go as soon as its matrix is built.
     The cyclic garbage collector is paused for the whole solve, hook included.
     """
     if not isinstance(g, WcnfGrammar):
@@ -476,12 +484,11 @@ def solve(
         fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
         return _DeltaView(fresh, store) if fresh.nnz else None
 
-    def materialized_view(snapshot: bool = False) -> NontermMatrix:
-        """Every symbol's matrix, row-major.  These may share lines with
-        the stores, which change in place, so a ``snapshot`` copies them."""
+    def snapshot() -> NontermMatrix:
+        """Every symbol's matrix, row-major, copied: ``materialized()`` may
+        share lines with the stores, which change in place."""
         return NontermMatrix(n, universe, {
-            (st.sym, st.canonical[0]): st.materialized().copy() if snapshot else st.materialized()
-            for st in stores
+            (st.sym, st.canonical[0]): st.materialized().copy() for st in stores
         })
 
     iterations = 0
@@ -491,11 +498,12 @@ def solve(
         if iterations > max_iterations:
             raise RuntimeError("fixpoint failed to converge (bug)")
         if iteration_hook is not None:
+            # copies: under lazy union a store keeps each delta as a piece it merges into
             delta_nm = NontermMatrix(n, universe, {
-                (dv.store.sym, dv.store.canonical[0]): dv.copy(dv.store.canonical)
+                (dv.store.sym, dv.store.canonical[0]): dv.copy(dv.store.canonical).copy()
                 for dv in deltas if dv is not None
             })
-            m_old_nm = materialized_view(snapshot=True)
+            m_old_nm = snapshot()
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
         accs = [st.accumulator() if st.sym in results else None for st in stores]
@@ -515,4 +523,13 @@ def solve(
         deltas.clear()
         deltas = [next_delta(st, acc) if acc else None for st, acc in zip(stores, accs)]
 
-    return SolveResult(materialized_view(), counter, iterations, flags, g_run)
+    # the loop's other copies are read no more: each bundle keeps only its
+    # store's canonical copy, and each store goes once its matrix is built
+    for st in stores:
+        for el in st.bundles:
+            el.copies = {st.canonical: el.copies[st.canonical]}
+    mats = {}
+    while stores:
+        st = stores.pop(0)
+        mats[(st.sym, st.canonical[0])] = st.materialized()
+    return SolveResult(NontermMatrix(n, universe, mats), counter, iterations, flags, g_run)

@@ -617,11 +617,19 @@ def convert(a: BoolMat, layout: str) -> BoolMat:
                 out[pos] = get(pos, 0) | ks
         return BoolMat(a.rows, a.cols, layout, out, True)
     buckets: dict[int, list[int]] = {}
+    get = buckets.get
     # source lines are walked in ascending key order, so every bucket
     # comes out sorted
     for k in sorted(a.lines):
         for pos in a.lines[k]:
-            buckets.setdefault(pos, []).append(k)
+            if (b := get(pos)) is None:
+                buckets[pos] = [k]
+            else:
+                b.append(k)
+    # a stored copy keeps these lists, so each is made exact-size
+    for pos, b in buckets.items():
+        if len(b) > 1:
+            buckets[pos] = b[:]
     return BoolMat(a.rows, a.cols, layout, buckets)
 
 
@@ -671,21 +679,20 @@ def block_collapse(h: BoolMat, block_size: int, universe: int) -> BoolMat:
 def _vertical_lines(h: BoolMat, block_size: int, universe: int) -> dict:
     """The lines of h's vertical blocks, in h's form: row u's positions in
     column block t, moved left by t*n, are line t*n + u.  A bit line is
-    split by mask and shift, a sorted list line walked in its runs, one
-    per block.  A stored copy keeps these lists for the rest of the solve,
-    so each is exact-size and block 0's keep h's int objects."""
+    cut from its top set bit, one nonempty block at a time, a sorted list
+    line walked in its runs.  A stored copy keeps these lists for the rest
+    of the solve, so each is exact-size and block 0's keep h's int objects."""
     n = block_size
     _check_blocks(h, n, universe * n, "horizontal")
     if h.layout != ROW:
         raise ValueError(f"a block move takes row-major matrices, got {h!r}")
     out: dict = {}
     if h.bits:
-        mask = (1 << n) - 1
         for u, line in h.lines.items():
-            for key in range(u, universe * n, n):
-                if y := line & mask:
-                    out[key] = y
-                line >>= n
+            while line:
+                off = (line.bit_length() - 1) // n * n
+                out[off + u] = line >> off
+                line &= (1 << off) - 1
         return out
     for u, line in h.lines.items():
         t0 = -1

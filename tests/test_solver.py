@@ -174,6 +174,29 @@ class TestForest:
         for (_, lay), m in f.payloads()[0].copies.items():
             assert m == everything and m.layout == lay and m.nnz == 6
 
+    @pytest.mark.parametrize("n", [12, 1000])
+    def test_an_earlier_pass_piece_is_folded_in_place(self, monkeypatch, n):
+        """Once its pass is over, a delta's bundle owns its copies: a later,
+        smaller delta is merged into it in place (in bit form for n=12, in
+        list form for n=1000), and nothing is copied."""
+        rng = random.Random(31)
+        store = _Store(nonterminal("S"), [(PLAIN, ROW), (PLAIN, COL)], (PLAIN, ROW), n, 0, lazy=True)
+        # at most 15 entries, then 2 in rows the first leaves empty: the
+        # forest (b = 10) merges them
+        first = BoolMat.from_entries(n, n, [(rng.randrange(1, n - 1), rng.randrange(n)) for _ in range(15)])
+        second = BoolMat.from_entries(n, n, [(0, 1), (n - 1, 2)])
+        store.insert(_DeltaView(first, store), None)
+        [bundle] = store.bundles
+        copied = []
+        real_copy = BoolMat.copy
+        monkeypatch.setattr(BoolMat, "copy", lambda m: copied.append(m) or real_copy(m))
+        store.insert(_DeltaView(second, store), None)
+        assert store.bundles == [bundle] and bundle.owned and not copied
+        everything = union(first, second)
+        for key in store.keys:
+            [piece] = store.pieces(key)
+            assert piece == everything and piece.layout == key[1] and piece.nnz == everything.nnz
+
     @pytest.mark.parametrize("n, most", [(12, 40), (1000, 300)])
     def test_materialized_forest_is_the_union_of_untouched_pieces(self, n, most):
         """A lazy store's matrix is the union of its forest pieces (in bit
@@ -277,22 +300,62 @@ class TestSolve:
         assert sizes == sorted(sizes)
         assert r.iterations <= bound + 1
 
-    @pytest.mark.parametrize("variant", ["ma", "ma1", "ma1234"])
-    def test_hook_views_stay_snapshots(self, variant):
+    @pytest.mark.parametrize("variant, preset_name", [
+        pytest.param("ma", "dyck", id="ma"),
+        pytest.param("ma1", "dyck", id="ma1"),
+        pytest.param("ma1234", "dyck", id="ma1234"),
+        # indexed: a pass's delta is kept as a forest piece that later
+        # passes merge into in place
+        pytest.param("ma1234", "cscvf-wcnf", id="ma1234-cscvf-wcnf"),
+        pytest.param("ma1234", "fsca-wcnf", id="ma1234-fsca-wcnf"),
+    ])
+    def test_hook_views_stay_snapshots(self, variant, preset_name):
         """The stores change in place after the hook returns; the views it
-        was handed must not."""
-        g = ensure_wcnf(preset("dyck"))
-        graph = chain_graph(12)
+        was handed, its delta included, must not."""
+        g = ensure_wcnf(preset(preset_name))
+        if preset_name == "dyck":
+            graph = chain_graph(12)
+        else:
+            graph = random_instance(g, random.Random(5), max_vertices=30, max_edges=90, max_indices=3)
         kept = []
 
         def hook(it, m_old, delta, m):
-            kept.append((m_old, m_old.to_triples(), m, m.to_triples()))
+            kept.append([(v, v.to_triples()) for v in (m_old, delta, m)])
 
         solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
-        assert len(kept) > 2 and kept[-1][1]
-        for m_old, old_triples, m, triples in kept:
-            assert m_old.to_triples() == old_triples
-            assert m.to_triples() == triples
+        assert len(kept) > 2 and kept[-1][0][1]
+        for views in kept:
+            for view, triples in views:
+                assert view.to_triples() == triples
+
+    @pytest.mark.parametrize("preset_name", ["cscvf-wcnf", "fsca-wcnf"])
+    def test_result_phase_holds_canonical_copies_only(self, monkeypatch, preset_name):
+        """When the result is first built, every store of a ``ma1234``
+        solve holds its canonical copies and no other: the column-major
+        and vertical-block copies only the loop read are let go."""
+        g = ensure_wcnf(preset(preset_name))
+        graph = random_instance(g, random.Random(5), max_vertices=30, max_edges=90, max_indices=3)
+        stores, held = [], []
+        real_init, real_materialized = _Store.__init__, _Store.materialized
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            stores.append(self)
+
+        def materialized(self):
+            if not held:
+                held.extend((st.canonical, {key for el in st.bundles for key in el.copies})
+                            for st in stores)
+            return real_materialized(self)
+
+        monkeypatch.setattr(_Store, "__init__", init)
+        monkeypatch.setattr(_Store, "materialized", materialized)
+        r = solve(graph, g, VariantFlags.named("ma1234"))
+        assert r.triples() == oracle_solve(graph, g)
+        # the loop kept other copies, so letting them go is tested
+        assert any(key != st.canonical for st in stores for key in st.keys)
+        assert len(held) == len(stores) and any(keys for _, keys in held)
+        assert all(keys <= {canonical} for canonical, keys in held)
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     @pytest.mark.parametrize("preset_name", ["dyck", "cscvf-wcnf"])

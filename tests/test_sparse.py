@@ -432,6 +432,15 @@ class TestConvert:
         a = random_boolmat(rng, r, c, density=0.3)
         assert convert(a, COL).nnz == a.nnz
 
+    def test_list_lines_are_sorted_and_exact_size(self):
+        """A stored column-major copy keeps its lines for the rest of a
+        solve, so none carries a list's growth slack."""
+        a = random_boolmat(random.Random(7), 40, 30, density=0.3)
+        c = convert(a, COL)
+        assert c.entry_set() == a.entry_set() and any(len(line) > 4 for line in c.lines.values())
+        for line in c.lines.values():
+            assert line == sorted(set(line)) and sys.getsizeof(line) == sys.getsizeof(line[:])
+
 
 class TestBlocks:
     def test_offset_zero_slot_keeps_coordinates(self):
@@ -559,6 +568,19 @@ class TestBlocks:
             for line in v.lines.values():
                 assert line == sorted(set(line))
                 assert sys.getsizeof(line) == sys.getsizeof(line[:])
+
+    def test_wide_sparse_bit_split_equals_the_list_split(self):
+        """k = 64 blocks, 3 positions a row, the first and last columns
+        included: the bit split cuts only the nonempty blocks, and its
+        lines are the list split's."""
+        rng = random.Random(64)
+        n, k = 50, 64
+        entries = {(0, 0), (0, k * n - 1)} | {(u, rng.randrange(k * n)) for u in range(n) for _ in range(3)}
+        h = BoolMat.from_entries(n, k * n, sorted(entries))
+        want = horizontal_to_vertical(h, n, k)
+        got = horizontal_to_vertical(h.in_form(True), n, k)
+        assert got.bits and got.nnz == want.nnz == len(entries)
+        assert got.in_form(False).lines == want.lines
 
     def test_block_zero_keeps_the_int_objects_of_its_input(self):
         """Ints above 256 are not cached by CPython, so only positions taken
