@@ -19,8 +19,9 @@ key with the delta's lines by one C-level test.
 Each stored symbol's slot, its place in the rule plan's ``stored`` table,
 indexes the lists of stores, deltas and accumulators, and every step is
 resolved once, before the loop, into records of slots, store keys and
-transforms (``_Operand``).  An unkept left copy is read through its
-record's pre-built empty stand-in, so the product is still formed and counted.
+transforms (``_Operand``).  An unkept left copy is read through its record's
+pre-built empty stand-in, and a step whose delta is absent this pass multiplies
+two stand-ins without reading the store, so every product is still formed and counted.
 
 All variants compute the same relation: entry (i, j) in symbol x's matrix
 iff some i -> j path spells a word derivable from x.
@@ -134,19 +135,31 @@ class MatrixForest:
     def insert(self, payload, counter: OpCounter | None = None) -> None:
         """Add a piece (an empty one adds nothing), then merge the smallest
         adjacent pair of pieces within a factor b of each other until none
-        is left."""
+        is left.  A binary-counter carry: the new piece goes after every
+        piece of equal or smaller size, as a stable sort by size puts it.
+        Only a pair with it can break the invariant, the left one first; a
+        merged piece moves after every smaller piece that follows it, as
+        the sort would move it, and the carry goes on from there."""
         if not payload.nnz:
             return
-        els = sorted(self.elements + [payload], key=lambda el: el.nnz)
+        # a new list of exactly its length: insert() would leave growth slack
+        els = self.elements + [payload]
+        i = len(els) - 1
+        while i and els[i - 1].nnz > payload.nnz:
+            els[i] = els[i - 1]
+            i -= 1
+        els[i] = el = payload
         while True:
-            hit = next(
-                (i for i in range(len(els) - 1) if self.b * els[i].nnz >= els[i + 1].nnz),
-                None,
-            )
-            if hit is None:
+            if i and self.b * els[i - 1].nnz >= el.nnz:
+                i -= 1
+            elif not (i + 1 < len(els) and self.b * el.nnz >= els[i + 1].nnz):
                 break
-            els[hit : hit + 2] = [self.combine(els[hit], els[hit + 1], counter)]
-            els.sort(key=lambda el: el.nnz)
+            el = self.combine(els[i], els[i + 1], counter)
+            els[i : i + 2] = [el]
+            while i + 1 < len(els) and els[i + 1].nnz < el.nnz:
+                els[i] = els[i + 1]
+                i += 1
+            els[i] = el
         self.elements = els
 
 
@@ -286,14 +299,19 @@ class _Store:
                 el.owned = True
             self.forest.insert(db, counter)
             self.bundles = self.forest.elements[::-1]
+        # no generator: a solve's memory peaks about here
+        nnz = 0
+        for el in self.bundles:
+            nnz += el.nnz
         for key, excess in self.pending:
-            # switch once the lines would take no more memory as ints
-            lines = nnz = 0
+            # switch once the lines would take no more memory as ints; the
+            # sum stops once its lines so far, largest piece first, rule it out
+            lines = 0
             for el in self.bundles:
-                m = el.copies[key]
-                lines += len(m.lines)
-                nnz += m.nnz
-            if lines * excess <= nnz * _SLOT_BYTES:
+                lines += len(el.copies[key].lines)
+                if lines * excess > nnz * _SLOT_BYTES:
+                    break
+            else:
                 self.bit_keys.add(key)
                 for el in self.bundles:
                     el.copies[key] = el.copies[key].in_form(True)
@@ -360,7 +378,8 @@ def solve(
     the graph's index universe.  Every rule step is resolved once, before
     the loop, into records of :class:`_Operand` slots, keys and transforms;
     an unkept left copy is read through its record's pre-built empty
-    stand-in, so the product is still formed and counted.
+    stand-in, and an absent delta's step multiplies two of them, once per
+    piece of its store side, so every product is still formed and counted.
     ``iteration_hook(iteration, m_old, delta, m)`` is called at the top of
     every iteration of every variant with snapshots, copies no later pass
     changes: ``delta`` is the pass's delta (which the stores go on to keep
@@ -382,8 +401,11 @@ def solve(
     universe = tuple(graph.index_universe) if use_blocks else ()
     k = len(universe)
     plan = build_rule_plan(g_run, use_blocks)
-    results = {st.result[0] for st in plan.bin_steps} | {ust.result[0] for ust in plan.unit_steps}
     slot = {s: i for i, s in enumerate(plan.stored)}
+    # whether some step produces each slot's symbol, resolved once
+    produced = tuple(map(
+        {st.result[0] for st in (*plan.bin_steps, *plan.unit_steps)}.__contains__, plan.stored
+    ))
 
     def operand(mk, layout: str, transform: str | None, delta: bool, kept=True) -> _Operand:
         empty = BoolMat.empty(*matrix_dims(mk[1], n, k), layout=layout)
@@ -397,7 +419,7 @@ def solve(
     # delta only in the first iteration, when M_old is empty
     old_steps = [
         (slot[st.result[0]], operand(st.left, COL if flags.dual_format else ROW, st.left_transform,
-                                     False, not flags.dual_format or st.right[0] in results),
+                                     False, not flags.dual_format or produced[slot[st.right[0]]]),
          operand(st.right, ROW, st.right_transform, True))
         for st in plan.bin_steps
     ]
@@ -433,12 +455,10 @@ def solve(
     del seeds
 
     def read(op: _Operand) -> list[BoolMat]:
-        """Its delta or each piece of its store, or the empty stand-in for a
-        missing delta or an unkept copy, so products are still formed and counted."""
+        """Its present delta or each piece of its store, or for an unkept
+        copy the empty stand-in, so products are still formed and counted."""
         i, delta, key, kept, transform, empty = op
         if delta:
-            if deltas[i] is None:
-                return [empty]
             ms = [deltas[i].copy(key)]
         elif not kept:
             return [empty] * len(stores[i].bundles)
@@ -456,6 +476,12 @@ def solve(
         form, it pulls row by row.  Both directions form, count and put the same rows."""
         for res, left, right in steps:
             acc = accs[res]
+            if (left.delta and deltas[left.slot] is None
+                    or right.delta and deltas[right.slot] is None):
+                for _ in stores[(right if left.delta else left).slot].bundles:
+                    check_deadline()
+                    sparse.spgemm(left.empty, right.empty, counter, into=acc)
+                continue
             ras = read(right)
             for la in read(left):
                 # the lines a list-form delta would pull; 0 never pushes
@@ -474,6 +500,9 @@ def solve(
 
     def pour() -> None:
         for res, source in unit_steps:
+            if source.delta and deltas[source.slot] is None:
+                check_deadline()
+                continue
             for piece in read(source):
                 check_deadline()
                 accs[res].add(piece)
@@ -506,7 +535,7 @@ def solve(
             m_old_nm = snapshot()
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))
 
-        accs = [st.accumulator() if st.sym in results else None for st in stores]
+        accs = [st.accumulator() if p else None for st, p in zip(stores, produced)]
         if flags.delta:
             # M_old * delta, against the stores before the insert; under
             # dual_format the delta's rows drive it through M's columns
@@ -523,11 +552,12 @@ def solve(
         deltas.clear()
         deltas = [next_delta(st, acc) if acc else None for st, acc in zip(stores, accs)]
 
-    # the loop's other copies are read no more: each bundle keeps only its
-    # store's canonical copy, and each store goes once its matrix is built
+    # the loop's other copies and int line copies are read no more: each
+    # bundle keeps only its canonical copy, and each store goes once its matrix is built
     for st in stores:
         for el in st.bundles:
             el.copies = {st.canonical: el.copies[st.canonical]}
+            el.copies[st.canonical]._ints = None
     mats = {}
     while stores:
         st = stores.pop(0)

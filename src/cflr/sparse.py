@@ -488,7 +488,7 @@ def masked(
     count as ``union_entries``."""
     masks = []
     for p in pieces:
-        if p.shape() != (acc.rows, acc.cols) or p.layout != ROW:
+        if p.rows != acc.rows or p.cols != acc.cols or p.layout != ROW:
             raise ValueError(
                 f"mask {p!r} is not a row-major {acc.rows}x{acc.cols} matrix"
             )

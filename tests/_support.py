@@ -1,7 +1,8 @@
 """Shared test helpers: random instance generation, dense reference
 implementations, a naive closure for grammars of arbitrary shape, the
-entry-by-entry forms of the engine's seeds and block moves, and the
-reference algebra over symbol-matrix collections (``semiring_matmul``,
+entry-by-entry forms of the engine's seeds and block moves, the forest
+insert as first written (``sort_and_scan_insert``), and the reference
+algebra over symbol-matrix collections (``semiring_matmul``,
 ``apply_unit_rules``).
 
 The instance generators, dense references and the naive closure are
@@ -140,6 +141,27 @@ def forest_difference(d: BoolMat, forest: MatrixForest) -> BoolMat:
     for piece in forest.payloads():
         d = difference(d, piece)
     return d
+
+
+def sort_and_scan_insert(forest: MatrixForest, payload, counter: OpCounter | None = None) -> None:
+    """The forest insert as first written, the reference for
+    :meth:`MatrixForest.insert`: sort every piece and the new one stably
+    by size, then merge the first adjacent pair within a factor b of each
+    other, re-sort and scan again from the smallest piece, until no pair
+    is left."""
+    if not payload.nnz:
+        return
+    els = sorted(forest.elements + [payload], key=lambda el: el.nnz)
+    while True:
+        hit = next(
+            (i for i in range(len(els) - 1) if forest.b * els[i].nnz >= els[i + 1].nnz),
+            None,
+        )
+        if hit is None:
+            break
+        els[hit : hit + 2] = [forest.combine(els[hit], els[hit + 1], counter)]
+        els.sort(key=lambda el: el.nnz)
+    forest.elements = els
 
 
 def triple_names(triples) -> set[tuple[str, int, int]]:

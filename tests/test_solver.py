@@ -5,6 +5,7 @@ import weakref
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cflr.solver
 import cflr.sparse
@@ -33,6 +34,7 @@ from _support import (
     random_instance,
     semiring_matmul,
     sized_graph_text,
+    sort_and_scan_insert,
     total_nnz,
     triple_names,
 )
@@ -67,6 +69,37 @@ class TestVariantFlags:
         assert VARIANT_NAMES == ("ma", "ma1", "ma14", "ma1234")
         with pytest.raises(ValueError, match="unknown variant 'ma12345'"):
             VariantFlags.named("ma12345")
+
+
+class _Sized:
+    """A forest piece that is only its size."""
+
+    __slots__ = ("nnz",)
+
+    def __init__(self, nnz: int):
+        self.nnz = nnz
+
+
+def _merge_log(insert, sizes, b, overlap):
+    """After every insert of a piece of each size: the forest's pieces, each
+    named by the order it was made in, and every ``combine(small, large)``
+    pair so far.  A merged piece holds both sizes, or with ``overlap``, as
+    a union of overlapping pieces, the larger one and half the smaller."""
+    made = []
+    pairs = []
+
+    def combine(small, large, counter):
+        pairs.append((made.index(small), made.index(large)))
+        made.append(_Sized(large.nnz + (small.nnz // 2 if overlap else small.nnz)))
+        return made[-1]
+
+    f = MatrixForest(b=b, combine=combine)
+    log = []
+    for size in sizes:
+        made.append(_Sized(size))
+        insert(f, made[-1])
+        log.append(([made.index(el) for el in f.elements], f.sizes(), len(pairs)))
+    return log, pairs
 
 
 class TestForest:
@@ -106,6 +139,27 @@ class TestForest:
             for el in f.payloads():
                 got = union(got, el)
             assert got == acc
+
+    @given(
+        st.lists(st.one_of(st.just(1), st.integers(0, 40), st.integers(1, 10**6)), max_size=80),
+        st.sampled_from([2, 3, 10]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_carry_insert_merges_as_the_sort_and_scan(self, sizes, b, overlap):
+        case = (sizes, b, overlap)
+        assert _merge_log(MatrixForest.insert, *case) == _merge_log(sort_and_scan_insert, *case)
+
+    @pytest.mark.parametrize("b", [2, 10])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[1] * 300, [7] * 120, [1, 1000, 1, 1, 10**6, 3, 3, 3, 500, 1] * 12,
+         [2**j for j in range(20)] + [1] * 40, list(range(60, 0, -1))],
+        ids=["size-1-run", "equal-sizes", "large-jumps", "doubling-then-ones", "falling"],
+    )
+    def test_carry_insert_merges_as_the_sort_and_scan_on_runs(self, sizes, b):
+        for case in ((sizes, b, False), (sizes, b, True)):
+            assert _merge_log(MatrixForest.insert, *case) == _merge_log(sort_and_scan_insert, *case)
 
     def test_empty_payloads_add_no_piece(self):
         f = MatrixForest(b=10)
@@ -622,31 +676,41 @@ class TestSolve:
             # the deadline passes in the first insert or the first mask
             (UNITS, "ma1", "merge_into"),
             (UNITS, "ma1", "masked"),
+            # X has no seed, so its delta is absent in iteration 1: the
+            # products of its two M_old * delta steps, one after the other,
+            # are formed on two empty stand-ins
+            (parse_grammar("start: S\nS -> a X | b X | c\nX -> S d\n"), "ma1", "spgemm of empties"),
         ],
         ids=[
             "ma", "ma1", "ma1-two-steps-of-one-symbol", "ma1-unit-rule-step",
-            "ma1-store-insert", "ma1-mask",
+            "ma1-store-insert", "ma1-mask", "ma1-absent-delta-step",
         ],
     )
     def test_deadline_holds_inside_an_iteration(self, monkeypatch, grammar, variant, slow):
         """The deadline passes during the first product (or the first
-        unit-rule step, store insert or mask) of iteration 1; the solve
-        stops before the next one."""
+        unit-rule step, store insert or mask, or the first product of two
+        empty operands) of iteration 1; the solve stops before the next
+        one (in the last case, before any later product)."""
         g = ensure_wcnf(grammar)
         graph = chain_graph(16)
         owner = cflr.sparse.Accumulator if slow == "add" else cflr.sparse
-        original = getattr(owner, slow)
+        empties = slow == "spgemm of empties"
+        name = "spgemm" if empties else slow
+        original = getattr(owner, name)
         now = [0.0]
         calls = []
         iterations = []
 
         def slow_call(*args, **kwargs):
-            calls.append(iterations[-1])
-            now[0] += 10.0
+            # with ``empties`` the clock first moves at a product of two
+            # empty operands, and every product after it is counted
+            if not empties or now[0] or not (args[0].nnz or args[1].nnz):
+                calls.append(iterations[-1])
+                now[0] += 10.0
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cflr.solver.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(owner, slow, slow_call)
+        monkeypatch.setattr(owner, name, slow_call)
         hook = lambda it, *_: iterations.append(it)  # noqa: E731
         solve(graph, g, VariantFlags.named(variant), iteration_hook=hook)
         per_iteration = calls.count(1)
@@ -657,6 +721,49 @@ class TestSolve:
             solve(graph, g, VariantFlags.named(variant), deadline=5.0, iteration_hook=hook)
         assert iterations == [1]
         assert 1 == len(calls) < per_iteration
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("case", ["dyck-chain", "cscvf-wcnf"])
+    def test_every_counted_product_is_one_spgemm_call(self, monkeypatch, case, variant):
+        """Each product the solve counts, those on an absent delta's empty
+        stand-ins included, is one ``sparse.spgemm`` call, and the triples
+        are the oracle's."""
+        g = ensure_wcnf(preset("dyck" if case == "dyck-chain" else case))
+        if case == "dyck-chain":
+            graph = chain_graph(40)
+        else:
+            graph = load_graph(sized_graph_text(g, random.Random(11), 40, 90, 3), g)
+        original = cflr.sparse.spgemm
+        calls = []
+
+        def counted(a, b, *args, **kwargs):
+            calls.append(bool(a.nnz and b.nnz))
+            return original(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(cflr.sparse, "spgemm", counted)
+        r = solve(graph, g, VariantFlags.named(variant))
+        assert len(calls) == r.counters.spgemm_calls
+        assert not all(calls)  # some products have an empty operand
+        assert r.triples() == oracle_solve(graph, g)
+
+    @pytest.mark.parametrize("variant", ["ma", "ma1", "ma14"])
+    def test_result_matrices_keep_no_int_copy(self, monkeypatch, variant):
+        """Under these variants a result matrix is its store's canonical
+        copy, whose list lines products read as ints: that int copy is
+        dropped with the store's other copies."""
+        g = ensure_wcnf(preset("fsca-wcnf"))
+        graph = load_graph(sized_graph_text(g, random.Random(1), 350, 900, 10), g)
+        original = BoolMat.int_lines
+        copied = []
+
+        def int_lines(m):
+            copied.append(not m.bits)
+            return original(m)
+
+        monkeypatch.setattr(BoolMat, "int_lines", int_lines)
+        r = solve(graph, g, VariantFlags.named(variant))
+        assert any(copied)  # products read some list-form copy as ints
+        assert all(m._ints is None for m in r.matrices.mats.values())
 
     def test_result_reports_executed_grammar(self):
         g = ensure_wcnf(preset("cscvf-wcnf"))
