@@ -11,10 +11,12 @@ products are M_old * delta (before the insert), delta * M_new and the unit
 rules on the delta; the baseline multiplies M * M and applies the unit
 rules to all of M.  Each delta * M_new product runs row by row or, pushed
 through the delta's column view, as an outer product, whichever its
-operands' sizes favour (see ``gather``); ``dual_format`` turns M_old *
-delta into an outer product.  Without it M_old * delta runs row by row,
-driven by M, and ``sparse.spgemm`` skips each row of M that shares no
-key with the delta's lines by one C-level test.
+operands' sizes favour (see ``gather``).  ``dual_format`` pushes M_old *
+delta through a column copy of M, as an outer product, until M is dense
+enough that pulling through its rows is cheaper; the store then drops that
+copy for good.  Without it M_old * delta runs row by row, driven by M, and
+``sparse.spgemm`` skips each row of M that shares no key with the delta's
+lines by one C-level test.
 
 Each stored symbol's slot, its place in the rule plan's ``stored`` table,
 indexes the lists of stores, deltas and accumulators, and every step is
@@ -255,16 +257,16 @@ class _Store:
     lazy union the pieces of a forest of bundles.  The canonical key is
     row-major and always kept; the symbol's deltas, accumulator and mask
     are in it.  The other keys are the copies its products read,
-    column-major only for the left operand of an outer product.
+    column-major only for the left operand of an outer product, until
+    pulling through the rows is the cheaper direction (``drop``).
 
     Each copy starts with its lines in list form and switches to bit form
     for good once its lines would take no more memory as ints than as
     lists (``bit_keys`` holds the keys that switched).  The accumulator
     and the deltas of this symbol follow the same choice."""
 
-    __slots__ = (
-        "sym", "keys", "canonical", "dims", "n", "k", "forest", "bundles", "bit_keys", "pending",
-    )
+    __slots__ = ("sym", "keys", "canonical", "dims", "n", "k", "forest", "bundles", "bit_keys",
+                 "pending", "nnz")
 
     def __init__(self, sym, keys, canonical, n, k, lazy: bool):
         self.sym = sym
@@ -278,6 +280,7 @@ class _Store:
             {key: BoolMat.empty(*matrix_dims(key[0], n, k), layout=key[1]) for key in self.keys}
         )]
         self.bit_keys: set[_StoreKey] = set()
+        self.nnz = 0
         # the keys still in list form, each with how much more one of its
         # lines takes as an int, as wide as the line, than as an empty list
         self.pending: list[tuple[_StoreKey, int]] = []
@@ -303,6 +306,7 @@ class _Store:
         nnz = 0
         for el in self.bundles:
             nnz += el.nnz
+        self.nnz = nnz
         for key, excess in self.pending:
             # switch once the lines would take no more memory as ints; the
             # sum stops once its lines so far, largest piece first, rule it out
@@ -317,6 +321,14 @@ class _Store:
                     el.copies[key] = el.copies[key].in_form(True)
         if len(self.pending) + len(self.bit_keys) > len(self.keys):
             self.pending = [(key, e) for key, e in self.pending if key not in self.bit_keys]
+
+    def drop(self, key: _StoreKey) -> None:
+        """Stop keeping the copy ``key``, for good."""
+        self.keys = tuple(k for k in self.keys if k != key)
+        self.pending = [(k, e) for k, e in self.pending if k != key]
+        self.bit_keys.discard(key)
+        for el in self.bundles:
+            del el.copies[key]
 
     def accumulator(self) -> Accumulator:
         """A fresh row-major accumulator in the canonical key's shape and
@@ -388,6 +400,8 @@ def solve(
     ``time.monotonic()`` instant after which :class:`SolveTimeout` is
     raised: it is checked at the top of every iteration, before each
     product, each store insert, each unit-rule step and each symbol's mask.
+    Under ``dual_format`` M_old * delta pushes through M's column copy until M
+    is dense enough that pulling through its rows is cheaper, then pulls for good.
     Once the loop ends every store drops all but its canonical copies, and
     each store is let go as soon as its matrix is built.
     The cyclic garbage collector is paused for the whole solve, hook included.
@@ -413,19 +427,22 @@ def solve(
             empty = _apply_transform(empty, transform, n, k)
         return _Operand(slot[mk[0]], delta, (mk[1], layout), kept, transform, empty)
 
-    # (result, left, right) for M_old * delta and for delta * M_new (baseline
-    # M * M), (result, source) for a unit rule.  M_old's column copy is kept
-    # only for a right operand that some step produces: any other has a
-    # delta only in the first iteration, when M_old is empty
-    old_steps = [
-        (slot[st.result[0]], operand(st.left, COL if flags.dual_format else ROW, st.left_transform,
-                                     False, not flags.dual_format or produced[slot[st.right[0]]]),
-         operand(st.right, ROW, st.right_transform, True))
-        for st in plan.bin_steps
-    ]
+    # (result, left, right, pulls) for M_old * delta and for delta * M_new
+    # (baseline M * M), (result, source) for a unit rule.  M_old's column copy
+    # is kept only for a right operand that some step produces: any other has
+    # a delta only in the first iteration, when M_old is empty.  ``pulls``: the
+    # left operand is a kept column copy of its store's canonical matrix, which
+    # the store may drop for good once M is dense enough (see ``gather``)
+    old_steps = []
+    for st in plan.bin_steps:
+        left = operand(st.left, COL if flags.dual_format else ROW, st.left_transform, False,
+                       not flags.dual_format or produced[slot[st.right[0]]])
+        pulls = left.kept and left.transform is None and left.key == (plan.stored[st.left[0]], COL)
+        right = operand(st.right, ROW, st.right_transform, True)
+        old_steps.append((slot[st.result[0]], left, right, pulls))
     new_steps = [
         (slot[st.result[0]], operand(st.left, ROW, st.left_transform, flags.delta),
-         operand(st.right, ROW, st.right_transform, False))
+         operand(st.right, ROW, st.right_transform, False), False)
         for st in plan.bin_steps
     ]
     unit_steps = [(slot[u.result[0]], operand(u.source, ROW, u.transform, flags.delta))
@@ -434,11 +451,12 @@ def solve(
     # deltas, accumulator and mask are, and every kept copy a step reads
     needs = [{(r, ROW)} for r in plan.stored.values()]
     for _, *ops in old_steps + new_steps + unit_steps:
-        for op in ops:
+        for op in ops[:2]:  # the operands, not ``pulls``
             if op.kept and not op.delta:
                 needs[op.slot].add(op.key)
     stores = [_Store(s, sorted(needs[i]), (r, ROW), n, k, flags.lazy_union)
               for i, (s, r) in enumerate(plan.stored.items())]
+    del needs  # the stores hold their keys
     max_iterations = sum(st.dims[0] * st.dims[1] for st in stores) + 2
     counter = OpCounter()
     monotonic = time.monotonic
@@ -473,8 +491,12 @@ def solve(
         A list-form delta on the left (delta * M_new) pushes through its column
         view, made once per delta and pass, when it has more lines than the right
         operand has lines and entries together; otherwise, and always in bit
-        form, it pulls row by row.  Both directions form, count and put the same rows."""
-        for res, left, right in steps:
+        form, it pulls row by row.  M_old * delta pushes through M's column copy
+        until a pull, which tests each row of M once, costs no more than a push,
+        which walks a column of M (nnz / columns entries) per delta line; M only
+        grows, so the store then drops the copy for good and its steps read the
+        rows.  Both directions form, count and put the same rows."""
+        for res, left, right, pulls in steps:
             acc = accs[res]
             if (left.delta and deltas[left.slot] is None
                     or right.delta and deltas[right.slot] is None):
@@ -483,6 +505,13 @@ def solve(
                     sparse.spgemm(left.empty, right.empty, counter, into=acc)
                 continue
             ras = read(right)
+            if pulls and (len(ras[0].lines) * (st := stores[left.slot]).nnz
+                          >= st.dims[0] * st.dims[1]):
+                st.drop(left.key)
+                for j, (r, op, rop, _) in enumerate(steps):
+                    if op.slot == left.slot and op.key == left.key:
+                        steps[j] = (r, op._replace(key=st.canonical), rop, False)
+                left = left._replace(key=st.canonical)
             for la in read(left):
                 # the lines a list-form delta would pull; 0 never pushes
                 lines = len(la.lines) if left.delta and not la.bits else 0

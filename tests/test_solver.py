@@ -774,6 +774,108 @@ class TestSolve:
         assert r_block.grammar.is_indexed
 
 
+# S -> A_[i] S collapses A's block row and S -> A_[i] B_[i] reads it as it
+# stands: both read its column copy, and both must read its rows once it is dropped
+SHARED_COPY = parse_grammar(
+    "start: S\nS -> A_[i] S | A_[i] B_[i] | c\nA_[i] -> a_[i] | A_[i] e\nB_[i] -> b_[i] | B_[i] e\n"
+)
+CLOSURE = parse_grammar("start: S\nS -> S S | a\n")
+# dense seeded instances, (grammar, seed, n, m, k), on which some store drops its column copy
+DENSE_CASES = {
+    "fica:1": (preset("fica"), 1, 40, 90, 3),
+    "cscvf:1": (preset("cscvf"), 1, 40, 90, 3),
+    "shared-copy": (SHARED_COPY, 5, 8, 40, 2),
+    "fsca-wcnf": (preset("fsca-wcnf"), 1, 12, 60, 2),
+    "cscvf-wcnf": (preset("cscvf-wcnf"), 1, 12, 60, 2),
+    "closure": (CLOSURE, 1, 8, 30, 1),
+}
+
+
+def _drops_while_solving(monkeypatch, graph, g):
+    """Solve under ma1234, recording each store that drops a copy, then
+    checking that the copy stays gone and the forest keeps its invariant
+    after every later insert, and the layout of every product whose left
+    operand is a copy held by a store that already dropped one."""
+    drops, lefts = [], []
+    drop, insert, spgemm = _Store.drop, _Store.insert, cflr.sparse.spgemm
+
+    def recording_drop(store, key):
+        drop(store, key)
+        drops.append((store, key))
+
+    def checked_insert(store, dview, counter):
+        insert(store, dview, counter)
+        assert store.forest.invariant_holds()
+        for dropped, key in drops:
+            assert key not in dropped.keys
+            assert all(key not in el.copies for el in dropped.bundles)
+
+    def recording_spgemm(a, b, *args, **kwargs):
+        for store, _ in drops:
+            if any(a is m for el in store.bundles for m in el.copies.values()):
+                lefts.append(a.layout)
+        return spgemm(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(_Store, "drop", recording_drop)
+    monkeypatch.setattr(_Store, "insert", checked_insert)
+    monkeypatch.setattr(cflr.sparse, "spgemm", recording_spgemm)
+    r = solve(graph, g, VariantFlags.named("ma1234"))
+    monkeypatch.undo()
+    return r, drops, lefts
+
+
+class TestPullSwitch:
+    """Under dual_format, M_old * delta pushes through a column copy of M
+    until pulling through M's rows is the cheaper direction; the store then
+    drops that copy for good.  The same products are formed either way."""
+
+    @pytest.mark.parametrize("name", DENSE_CASES)
+    def test_dense_inputs_drop_column_copies_and_keep_the_work(self, monkeypatch, name):
+        grammar, seed, n, m, k = DENSE_CASES[name]
+        g = ensure_wcnf(grammar)
+        graph = load_graph(sized_graph_text(g, random.Random(seed), n, m, k), g)
+        r, drops, lefts = _drops_while_solving(monkeypatch, graph, g)
+        assert drops and all(key[1] == COL for _, key in drops)
+        # the rows of a store that dropped its copy drive later products
+        assert lefts and set(lefts) == {ROW}
+        assert r.triples() == oracle_solve(graph, g)
+        ma14 = solve(graph, g, VariantFlags.named("ma14"))
+        assert r.counters.scalar_ops == ma14.counters.scalar_ops
+        assert r.iterations == ma14.iterations
+
+    @pytest.mark.parametrize("case", ["dyck-chain", "cscvf-wcnf"])
+    def test_sparse_inputs_keep_pushing(self, monkeypatch, case):
+        """A chain's one-entry deltas and a sparse value-flow graph never
+        make a pull the cheaper direction."""
+        if case == "dyck-chain":
+            g = ensure_wcnf(preset("dyck"))
+            graph = chain_graph(256)
+        else:
+            g = ensure_wcnf(preset(case))
+            graph = load_graph(sized_graph_text(g, random.Random(1), 1000, 2000, 30), g)
+        r, drops, _ = _drops_while_solving(monkeypatch, graph, g)
+        assert drops == []
+        assert r.triples() == oracle_solve(graph, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grammar=st.sampled_from(["fsca-wcnf", "cscvf-wcnf", "closure"]),
+        n=st.integers(3, 9),
+        density=st.integers(2, 6),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dense_random_graphs_agree_with_the_oracle(self, grammar, n, density, k, seed):
+        """Small dense graphs, on most of which some store drops its column
+        copy (the seeded cases above assert a drop for each grammar): the
+        triples are the oracle's and the scalar ops those of ma14."""
+        g = ensure_wcnf(CLOSURE if grammar == "closure" else preset(grammar))
+        graph = load_graph(sized_graph_text(g, random.Random(seed), n, density * n, k), g)
+        r = solve(graph, g, VariantFlags.named("ma1234"))
+        assert r.triples() == oracle_solve(graph, g)
+        assert r.counters.scalar_ops == solve(graph, g, VariantFlags.named("ma14")).counters.scalar_ops
+
+
 # every valid combination of the four flags: the baseline with and without
 # indexed blocks, and delta with each subset of the other three
 FLAG_COMBINATIONS = [VariantFlags(indexed_blocks=b) for b in (False, True)] + [
