@@ -21,9 +21,11 @@ lines by one C-level test.
 Each stored symbol's slot, its place in the rule plan's ``stored`` table,
 indexes the lists of stores, deltas and accumulators, and every step is
 resolved once, before the loop, into records of slots, store keys and
-transforms (``_Operand``).  An unkept left copy is read through its record's
-pre-built empty stand-in, and a step whose delta is absent this pass multiplies
-two stand-ins without reading the store, so every product is still formed and counted.
+transforms (``_Operand``).  One store method derives every copy of a
+symbol from its row-major canonical matrix: each copy of a pass's delta,
+once, and a read of a copy the store does not keep, from each canonical
+piece.  A step whose delta is absent this pass multiplies two empty
+stand-ins without reading the store, so every product is still formed and counted.
 
 All variants compute the same relation: entry (i, j) in symbol x's matrix
 iff some i -> j path spells a word derivable from x.
@@ -185,10 +187,10 @@ _StoreKey = tuple[str, str]  # (repr, layout)
 
 class _Bundle:
     """Mirrored copies of one logical matrix, one per store key.  A bundle
-    made from a fresh delta does not own its copies while its pass lasts:
+    made from a fresh delta does not own its copies while it is inserted:
     the delta is still read in that pass, so a merge into it goes into a
-    copy.  Once the pass is over the bundle owns them, and merges go into
-    it in place."""
+    copy.  Once inserted it owns them, since no merge runs again before the
+    next pass's insert, and merges go into it in place."""
 
     __slots__ = ("copies", "nnz", "owned")
 
@@ -213,38 +215,6 @@ def _fold(small: _Bundle, large: _Bundle, counter: OpCounter | None) -> _Bundle:
     return large
 
 
-class _DeltaView:
-    """A freshly discovered delta of a store's symbol, in the store's
-    row-major canonical key, with lazily derived copies (a family's
-    vertical blocks, column-major copies), each in the line form the store
-    keeps for that key."""
-
-    __slots__ = ("mat", "store", "_cache")
-
-    def __init__(self, mat: BoolMat, store: "_Store"):
-        self.mat = mat
-        self.store = store
-        # the accumulator's form was chosen before this iteration's insert,
-        # which may have switched the canonical key to bit form
-        self._cache: dict[_StoreKey, BoolMat] = {
-            store.canonical: mat.in_form(store.canonical in store.bit_keys)
-        }
-
-    def copy(self, key: _StoreKey) -> BoolMat:
-        m = self._cache.get(key)
-        if m is None:
-            st = self.store
-            m = self.mat
-            repr_, layout = key
-            if repr_ != st.canonical[0]:
-                # a family's vertical blocks: the one other form a rule reads
-                m = sparse.horizontal_to_vertical(m, st.n, st.k)
-            if layout != ROW:
-                m = sparse.convert(m, layout)
-            m = self._cache[key] = m.in_form(key in st.bit_keys)
-        return m
-
-
 # what a list line costs, its header and then each slot, as measured by
 # this interpreter
 _LIST_BYTES = sys.getsizeof([])
@@ -259,6 +229,8 @@ class _Store:
     are in it.  The other keys are the copies its products read,
     column-major only for the left operand of an outer product, until
     pulling through the rows is the cheaper direction (``drop``).
+    ``derive`` makes any copy from a canonical matrix: those of each delta,
+    and the reads of a copy the store does not keep.
 
     Each copy starts with its lines in list form and switches to bit form
     for good once its lines would take no more memory as ints than as
@@ -292,15 +264,33 @@ class _Store:
     def pieces(self, key: _StoreKey) -> list[BoolMat]:
         return [el.copies[key] for el in self.bundles]
 
-    def insert(self, dview: _DeltaView, counter: OpCounter | None) -> None:
-        db = _Bundle({key: dview.copy(key) for key in self.keys}, owned=False)
+    def derive(self, m: BoolMat, key: _StoreKey) -> BoolMat:
+        """``key``'s copy of ``m``, a matrix in the canonical key: a
+        family's vertical blocks (the one other form a rule reads) and/or
+        column-major, in the line form this store keeps for ``key``."""
+        repr_, layout = key
+        if repr_ != self.canonical[0]:
+            m = sparse.horizontal_to_vertical(m, self.n, self.k)
+        if layout != ROW:
+            m = sparse.convert(m, layout)
+        return m.in_form(key in self.bit_keys)
+
+    def delta_copy(self, delta: dict[_StoreKey, BoolMat], key: _StoreKey) -> BoolMat:
+        """``key``'s copy of a pass's delta, a table of copies that holds
+        the canonical one, derived once and kept in the table."""
+        m = delta.get(key)
+        if m is None:
+            m = delta[key] = self.derive(delta[self.canonical], key)
+        return m
+
+    def insert(self, delta: dict[_StoreKey, BoolMat], counter: OpCounter | None) -> None:
+        db = _Bundle({key: self.delta_copy(delta, key) for key in self.keys}, owned=False)
         if self.forest is None:
             self.bundles[0].merge(db, counter)
         else:
-            # the earlier passes' deltas are no longer read
-            for el in self.bundles:
-                el.owned = True
             self.forest.insert(db, counter)
+            # no merge runs again while this pass's delta is read
+            db.owned = True
             self.bundles = self.forest.elements[::-1]
         # no generator: a solve's memory peaks about here
         nnz = 0
@@ -351,13 +341,12 @@ class _Store:
 
 class _Operand(NamedTuple):
     """A step's operand, resolved before the loop: its symbol's slot, read
-    from the delta or the store, the store key read and whether the store
-    keeps it, the step's transform, and that key's empty matrix, transformed."""
+    from the delta or the store, the store key read, the step's transform,
+    and that key's empty matrix, transformed."""
 
     slot: int
     delta: bool
     key: _StoreKey
-    kept: bool
     transform: str | None
     empty: BoolMat
 
@@ -389,9 +378,9 @@ def solve(
     ``flags.indexed_blocks`` an indexed grammar is first expanded against
     the graph's index universe.  Every rule step is resolved once, before
     the loop, into records of :class:`_Operand` slots, keys and transforms;
-    an unkept left copy is read through its record's pre-built empty
-    stand-in, and an absent delta's step multiplies two of them, once per
-    piece of its store side, so every product is still formed and counted.
+    a copy its store does not keep is derived where it is read, and an
+    absent delta's step multiplies two empty stand-ins, once per piece of
+    its store side, so every product is still formed and counted.
     ``iteration_hook(iteration, m_old, delta, m)`` is called at the top of
     every iteration of every variant with snapshots, copies no later pass
     changes: ``delta`` is the pass's delta (which the stores go on to keep
@@ -408,8 +397,7 @@ def solve(
     """
     if not isinstance(g, WcnfGrammar):
         raise TypeError("solve expects a validated grammar; run ensure_wcnf first")
-    expand = g.is_indexed and not flags.indexed_blocks
-    g_run = expand_indexed(g, graph.index_universe) if expand else g
+    g_run = g if flags.indexed_blocks else expand_indexed(g, graph.index_universe)
     use_blocks = flags.indexed_blocks and g_run.is_indexed
     n = graph.vertex_count
     universe = tuple(graph.index_universe) if use_blocks else ()
@@ -421,24 +409,30 @@ def solve(
         {st.result[0] for st in (*plan.bin_steps, *plan.unit_steps)}.__contains__, plan.stored
     ))
 
-    def operand(mk, layout: str, transform: str | None, delta: bool, kept=True) -> _Operand:
+    def operand(mk, layout: str, transform: str | None, delta: bool) -> _Operand:
         empty = BoolMat.empty(*matrix_dims(mk[1], n, k), layout=layout)
         if transform is not None:
             empty = _apply_transform(empty, transform, n, k)
-        return _Operand(slot[mk[0]], delta, (mk[1], layout), kept, transform, empty)
+        return _Operand(slot[mk[0]], delta, (mk[1], layout), transform, empty)
 
+    # each store keeps its row-major canonical copy, where its seeds,
+    # deltas, accumulator and mask are, and every copy a step reads from it,
+    # except M_old * delta's left copy for a right operand that no step
+    # produces: that has a delta only in the first iteration, when ``read``
+    # derives the copy from M_old's canonical pieces
+    needs = [{(r, ROW)} for r in plan.stored.values()]
     # (result, left, right, pulls) for M_old * delta and for delta * M_new
-    # (baseline M * M), (result, source) for a unit rule.  M_old's column copy
-    # is kept only for a right operand that some step produces: any other has
-    # a delta only in the first iteration, when M_old is empty.  ``pulls``: the
+    # (baseline M * M), (result, source) for a unit rule.  ``pulls``: the
     # left operand is a kept column copy of its store's canonical matrix, which
     # the store may drop for good once M is dense enough (see ``gather``)
     old_steps = []
     for st in plan.bin_steps:
-        left = operand(st.left, COL if flags.dual_format else ROW, st.left_transform, False,
-                       not flags.dual_format or produced[slot[st.right[0]]])
-        pulls = left.kept and left.transform is None and left.key == (plan.stored[st.left[0]], COL)
+        left = operand(st.left, COL if flags.dual_format else ROW, st.left_transform, False)
         right = operand(st.right, ROW, st.right_transform, True)
+        kept = produced[right.slot]
+        if kept:
+            needs[left.slot].add(left.key)
+        pulls = kept and left.transform is None and left.key == (plan.stored[st.left[0]], COL)
         old_steps.append((slot[st.result[0]], left, right, pulls))
     new_steps = [
         (slot[st.result[0]], operand(st.left, ROW, st.left_transform, flags.delta),
@@ -447,12 +441,9 @@ def solve(
     ]
     unit_steps = [(slot[u.result[0]], operand(u.source, ROW, u.transform, flags.delta))
                   for u in plan.unit_steps]
-    # each store keeps its row-major canonical copy, where its seeds,
-    # deltas, accumulator and mask are, and every kept copy a step reads
-    needs = [{(r, ROW)} for r in plan.stored.values()]
-    for _, *ops in old_steps + new_steps + unit_steps:
+    for _, *ops in new_steps + unit_steps:
         for op in ops[:2]:  # the operands, not ``pulls``
-            if op.kept and not op.delta:
+            if not op.delta:
                 needs[op.slot].add(op.key)
     stores = [_Store(s, sorted(needs[i]), (r, ROW), n, k, flags.lazy_union)
               for i, (s, r) in enumerate(plan.stored.items())]
@@ -469,21 +460,23 @@ def solve(
     # symbol's canonical representation.  The seed collection is not kept:
     # each seed lives only as long as its delta, or as a forest piece
     seeds = {s: m for (s, _), m in initial_matrix(graph, g_run, use_blocks).mats.items()}
-    deltas = [_DeltaView(seeds[st.sym], st) if st.sym in seeds else None for st in stores]
+    deltas = [{st.canonical: st.derive(seeds[st.sym], st.canonical)} if st.sym in seeds else None
+              for st in stores]
     del seeds
 
     def read(op: _Operand) -> list[BoolMat]:
-        """Its present delta or each piece of its store, or for an unkept
-        copy the empty stand-in, so products are still formed and counted."""
-        i, delta, key, kept, transform, empty = op
+        """Its present delta's copy or each piece of its store, derived
+        from the piece's canonical copy if the store does not keep it."""
+        i, delta, key, transform, _ = op
+        st = stores[i]
         if delta:
-            ms = [deltas[i].copy(key)]
-        elif not kept:
-            return [empty] * len(stores[i].bundles)
-        else:
+            ms = [st.delta_copy(deltas[i], key)]
+        elif key in st.keys:
             ms = []
-            for el in stores[i].bundles:
+            for el in st.bundles:
                 ms.append(el.copies[key])
+        else:
+            ms = [st.derive(el.copies[st.canonical], key) for el in st.bundles]
         return ms if transform is None else [_apply_transform(m, transform, n, k) for m in ms]
 
     def gather(steps) -> None:
@@ -536,11 +529,14 @@ def solve(
                 check_deadline()
                 accs[res].add(piece)
 
-    def next_delta(store: _Store, acc: Accumulator) -> _DeltaView | None:
-        """What survives the mask of the stored matrix."""
+    def next_delta(store: _Store, acc: Accumulator) -> dict[_StoreKey, BoolMat] | None:
+        """What survives the mask of the stored matrix, as a table of its
+        copies that holds the canonical one."""
         check_deadline()
         fresh = sparse.masked(acc, store.pieces(store.canonical), counter)
-        return _DeltaView(fresh, store) if fresh.nnz else None
+        # the accumulator's form was chosen before this iteration's insert,
+        # which may have switched the canonical key to bit form
+        return {store.canonical: store.derive(fresh, store.canonical)} if fresh.nnz else None
 
     def snapshot() -> NontermMatrix:
         """Every symbol's matrix, row-major, copied: ``materialized()`` may
@@ -558,8 +554,8 @@ def solve(
         if iteration_hook is not None:
             # copies: under lazy union a store keeps each delta as a piece it merges into
             delta_nm = NontermMatrix(n, universe, {
-                (dv.store.sym, dv.store.canonical[0]): dv.copy(dv.store.canonical).copy()
-                for dv in deltas if dv is not None
+                (st.sym, st.canonical[0]): d[st.canonical].copy()
+                for st, d in zip(stores, deltas) if d is not None
             })
             m_old_nm = snapshot()
             iteration_hook(iterations, m_old_nm, delta_nm, m_old_nm.union(delta_nm))

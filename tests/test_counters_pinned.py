@@ -8,10 +8,11 @@ must leave all of them exactly as they are.  The cases are random(40, 90,
 position lists, a transitive closure whose stored lines switch to bit
 rows partway through the solve, and two indexed cases that collapse index
 blocks: one a binary rule's right operand, one a unit rule's source.
-Under dual_format a left operand's column-major copy is dropped where
-M_old * delta cannot read it, and the products it fed are still formed,
-against empty stand-ins: the last tests check the premise that keeps the
-counters unchanged.  A kept column copy is also dropped once M is dense
+Under dual_format a left operand's column-major copy is not kept where
+M_old * delta reads it only in iteration 1, when M_old is empty: that read
+is derived from the store's canonical pieces, so the same products are
+formed, and the last tests check the premise that keeps the counters
+unchanged.  A kept column copy is also dropped once M is dense
 enough that M_old * delta pulls through its rows; the same products are
 formed, so only ``union_entries`` falls, by the merges into that copy that
 no longer happen (``fica:1`` and ``cscvf:1``/``cscvf:2`` under ma1234).
@@ -292,8 +293,8 @@ def test_dual_format_keeps_column_copies_only_where_m_old_delta_reads_them(monke
     """A left operand keeps a column-major copy only for a step whose right
     operand some step produces.  Any other right operand (a terminal, or a
     normal-form symbol like ``b#t`` that derives one) has a delta only in
-    iteration 1, when M_old is empty, so M_old * delta never reads that
-    copy."""
+    iteration 1, when M_old is empty, so M_old * delta reads that copy
+    only then, derived from the store's canonical pieces."""
     keys = {}
     init = solver._Store.__init__
 
@@ -363,15 +364,22 @@ def test_every_symbol_keeps_a_row_major_canonical_copy(monkeypatch, name):
 def test_products_against_dropped_column_copies_are_empty(monkeypatch, name):
     """Under ma1234 no symbol outside the results of the rule plan has a
     delta after iteration 1, and every M_old * delta formed against an
-    empty stand-in for a dropped column copy has an empty right operand
-    too.  Forest pieces are never empty, so an outer product with an empty
-    left operand is one against a stand-in."""
+    empty column-major left operand has an empty right operand too (forest
+    pieces are never empty, so those are absent-delta stand-ins).  A
+    step whose right operand no step produces reads its left copy, which
+    its store does not keep, in iteration 1 as copies derived from each of
+    the store's canonical pieces: none under lazy union, the one empty
+    piece without it."""
     g, graph = case(name)
     plan = build_rule_plan(g, g.is_indexed)
     results = {st.result[0] for st in plan.bin_steps} | {u.result[0] for u in plan.unit_steps}
     late = set()  # symbols with a delta after iteration 1
-    stand_in_rights = []  # the right operand's nnz of each stand-in product
+    stand_in_rights = []  # the right operand's nnz of each product on an empty column copy
     spgemm = sparse.spgemm
+    stores = []
+    derived = []  # (symbol, key) of each store-side copy derived before the first insert
+    pieces = []  # the number of pieces of each store then
+    init, derive, insert = solver._Store.__init__, solver._Store.derive, solver._Store.insert
 
     def recording(a, b, *args, **kwargs):
         if a.layout == COL and not a.nnz:
@@ -382,15 +390,70 @@ def test_products_against_dropped_column_copies_are_empty(monkeypatch, name):
         if iteration > 1:
             late.update(sym for (sym, _), d in delta.mats.items() if d.nnz)
 
+    def recording_init(store, *args):
+        init(store, *args)
+        stores.append(store)
+
+    def recording_derive(store, m, key):
+        if not pieces and any(m is el.copies[store.canonical] for el in store.bundles):
+            derived.append((store.sym, key))
+        return derive(store, m, key)
+
+    def recording_insert(store, *args):
+        if not pieces:
+            pieces.append({st.sym: len(st.bundles) for st in stores})
+        return insert(store, *args)
+
     monkeypatch.setattr(sparse, "spgemm", recording)
-    r = solve(graph, g, VariantFlags.named("ma1234"), iteration_hook=hook)
-    assert late <= results, late - results
-    assert not any(stand_in_rights)
-    # a step whose right operand is not produced, and whose left operand
-    # keeps no column copy for another step, multiplies by stand-ins
-    read = {st.left for st in plan.bin_steps if st.right[0] in results}
-    if r.iterations > 1 and any(st.left not in read for st in plan.bin_steps):
-        assert stand_in_rights
+    monkeypatch.setattr(solver._Store, "__init__", recording_init)
+    monkeypatch.setattr(solver._Store, "derive", recording_derive)
+    monkeypatch.setattr(solver._Store, "insert", recording_insert)
+    for variant in (VariantFlags.named("ma1234"),
+                    VariantFlags(delta=True, dual_format=True, indexed_blocks=True)):
+        for seen in (late, stand_in_rights, stores, derived, pieces):
+            seen.clear()
+        solve(graph, g, variant, iteration_hook=hook)
+        if variant.lazy_union:
+            assert late <= results, late - results
+            assert not any(stand_in_rights)
+        keys = {st.sym: st.keys for st in stores}
+        # M_old * delta's left copies that no store keeps, once per step
+        unkept = [(st.left[0], (st.left[1], COL)) for st in plan.bin_steps
+                  if st.right[0] not in results and (st.left[1], COL) not in keys[st.left[0]]]
+        assert sorted(derived) == sorted(sk for sk in unkept for _ in range(pieces[0][sk[0]]))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("variant", [*VARIANTS, "ma124"])
+def test_every_kept_copy_is_read_by_a_step(monkeypatch, name, variant):
+    """Every copy a store keeps beside its canonical one is one that some
+    step's store-side operand reads from the store's pieces: delta * M_new's
+    right operand (the baseline's every operand), or M_old * delta's left
+    operand for a right operand that some step produces.  Any other right
+    operand has a delta only in iteration 1, so no copy is kept for it."""
+    g, graph = case(name)
+    flags = (VariantFlags(delta=True, dual_format=True, indexed_blocks=True)
+             if variant == "ma124" else VariantFlags.named(variant))
+    kept = set()
+    init = solver._Store.__init__
+
+    def recording(store, *args):
+        init(store, *args)
+        kept.update((store.sym, key) for key in store.keys if key != store.canonical)
+
+    monkeypatch.setattr(solver._Store, "__init__", recording)
+    r = solve(graph, g, flags)
+    plan = build_rule_plan(r.grammar, flags.indexed_blocks and r.grammar.is_indexed)
+    produced = {st.result[0] for st in plan.bin_steps} | {u.result[0] for u in plan.unit_steps}
+    reads = {(st.right[0], (st.right[1], ROW)) for st in plan.bin_steps}
+    if flags.delta:
+        layout = COL if flags.dual_format else ROW
+        reads |= {(st.left[0], (st.left[1], layout)) for st in plan.bin_steps
+                  if st.right[0] in produced}
+    else:
+        reads |= {(st.left[0], (st.left[1], ROW)) for st in plan.bin_steps}
+        reads |= {(u.source[0], (u.source[1], ROW)) for u in plan.unit_steps}
+    assert kept <= reads, kept - reads
 
 
 if __name__ == "__main__":

@@ -20,11 +20,10 @@ from cflr.solver import (
     forest_insert,
     solve,
     _Bundle,
-    _DeltaView,
     _Store,
     _fold,
 )
-from cflr.semiring import HBLOCK, PLAIN, UnitStep, build_rule_plan, initial_matrix
+from cflr.semiring import HBLOCK, PLAIN, VBLOCK, UnitStep, build_rule_plan, initial_matrix
 from cflr.grammar import nonterminal
 from cflr.sparse import COL, ROW, BoolMat, convert, union
 from _support import (
@@ -40,6 +39,12 @@ from _support import (
 )
 
 ALL_VARIANTS = ("ma", "ma1", "ma14", "ma1234")
+
+
+def delta_table(m, store):
+    """A pass's delta of ``store``'s symbol: its copies by store key,
+    holding the canonical one in the line form the store keeps."""
+    return {store.canonical: store.derive(m, store.canonical)}
 UNITS = parse_grammar("start: S\nS -> A | B\nA -> a | A a\nB -> b | B b\n")
 
 
@@ -239,12 +244,12 @@ class TestForest:
         # forest (b = 10) merges them
         first = BoolMat.from_entries(n, n, [(rng.randrange(1, n - 1), rng.randrange(n)) for _ in range(15)])
         second = BoolMat.from_entries(n, n, [(0, 1), (n - 1, 2)])
-        store.insert(_DeltaView(first, store), None)
+        store.insert(delta_table(first, store), None)
         [bundle] = store.bundles
         copied = []
         real_copy = BoolMat.copy
         monkeypatch.setattr(BoolMat, "copy", lambda m: copied.append(m) or real_copy(m))
-        store.insert(_DeltaView(second, store), None)
+        store.insert(delta_table(second, store), None)
         assert store.bundles == [bundle] and bundle.owned and not copied
         everything = union(first, second)
         for key in store.keys:
@@ -264,7 +269,7 @@ class TestForest:
         for count in (most, most // 20):
             drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
             d = difference(BoolMat.from_entries(n, n, drawn), everything)
-            store.insert(_DeltaView(d, store), None)
+            store.insert(delta_table(d, store), None)
             everything = union(everything, d)
         pieces = store.pieces((PLAIN, ROW))
         assert len(pieces) >= 2 and all(p.bits == (n == 12) for p in pieces)
@@ -874,6 +879,48 @@ class TestPullSwitch:
         r = solve(graph, g, VariantFlags.named("ma1234"))
         assert r.triples() == oracle_solve(graph, g)
         assert r.counters.scalar_ops == solve(graph, g, VariantFlags.named("ma14")).counters.scalar_ops
+
+
+# X_[i]'s vertical blocks are M_old * delta's left operand only against
+# right operands that no step produces: t, y and u_[i] (each through the
+# normal form's terminal symbol)
+VERTICAL_UNPRODUCED = parse_grammar(
+    "start: S\nS -> C_[i] d | S S\nC_[i] -> X_[i] t | X_[i] u_[i]\nX_[i] -> x_[i] | X_[i] y\n"
+)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_vertical_left_copy_of_an_unproduced_right_operand(monkeypatch, seed):
+    """A right operand that no step produces has a delta only in iteration
+    1, so no store keeps the left copy M_old * delta reads against it: that
+    read is derived from the store's canonical pieces.  Every variant
+    agrees with the oracle, and dual_format changes no product."""
+    g = ensure_wcnf(VERTICAL_UNPRODUCED)
+    rng = random.Random(seed)
+    n = rng.randint(4, 14)
+    graph = load_graph(sized_graph_text(g, rng, n, rng.randint(2 * n, 5 * n), rng.randint(1, 3)), g)
+    stores = []
+    init = _Store.__init__
+
+    def recording(store, *args):
+        init(store, *args)
+        stores.append(store)
+
+    monkeypatch.setattr(_Store, "__init__", recording)
+    want = oracle_solve(graph, g)
+    got = {}
+    for dual, lazy in itertools.product((False, True), repeat=2):
+        stores.clear()
+        flags = VariantFlags(delta=True, dual_format=dual, lazy_union=lazy, indexed_blocks=True)
+        r = got[dual, lazy] = solve(graph, g, flags)
+        assert r.triples() == want, flags
+        (x,) = [store for store in stores if store.sym.base == "X"]
+        assert x.canonical == (HBLOCK, ROW) and all(key[0] != VBLOCK for key in x.keys), flags
+    for lazy in (False, True):
+        off, on = got[False, lazy].counters, got[True, lazy].counters
+        assert (off.spgemm_calls, off.scalar_ops) == (on.spgemm_calls, on.scalar_ops)
+    for v in ("ma", "ma1"):
+        assert solve(graph, g, VariantFlags.named(v)).triples() == want, v
 
 
 # every valid combination of the four flags: the baseline with and without
